@@ -7,7 +7,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-from .contraction import is_blossom, prefix_until
+from .contraction import is_blossom
 from .forest import Trace, run_search
 from .graph import Edge, vertices
 from .matching import is_augmenting_path
@@ -38,22 +38,15 @@ def longest_disjoint_prefixes(
     """
     if not first or not second:
         return None, None
-    head = second[0]
-    pfx = prefix_until(lambda x: x == head, first)
-    if pfx[-1] == head:
-        return pfx, [head]
-    rest1, rest2 = longest_disjoint_prefixes(first, second[1:])
-    if rest2 is not None:
-        return rest1, [head] + rest2
-    return rest1, rest2
+    on_first = set(first)
+    for i, x in enumerate(second):
+        if x in on_first:
+            return list(first[: first.index(x) + 1]), list(second[: i + 1])
+    return None, None
 
 
 def find_path_or_blossom(
-    g: Iterable[Edge],
-    matching: Iterable[Edge],
-    *,
-    check_invariants: bool = False,
-    trace: Trace | None = None,
+    g: Iterable[Edge], matching: Iterable[Edge], *, trace: Trace | None = None
 ) -> AugmentingPath | FoundBlossom | None:
     """Find an augmenting path or a blossom, or None when neither exists.
 
@@ -73,9 +66,7 @@ def find_path_or_blossom(
         found = AugmentingPath([free[0], free[1]])
         assert is_augmenting_path(gset, mset, found.path)
         return found
-    paths = run_search(
-        gset, mset, check_invariants=check_invariants, trace=trace
-    ).paths
+    paths = run_search(gset, mset, trace=trace).paths
     if paths is None:
         return None
     p1, p2 = paths

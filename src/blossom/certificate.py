@@ -43,7 +43,18 @@ def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
     sets = [frozenset(s) for s in cover]
     if any(len(s) % 2 == 0 for s in sets):
         return False
-    return all(any(covers(s, e) for s in sets) for e in g)
+    # Singletons cover by one endpoint; a larger set must hold both, and
+    # parsed covers may hold a vertex in several larger sets.
+    singletons = {v for s in sets if len(s) == 1 for v in s}
+    larger: dict[int, list[frozenset[int]]] = {}
+    for s in sets:
+        if len(s) > 1:
+            for v in s:
+                larger.setdefault(v, []).append(s)
+    return all(
+        a in singletons or b in singletons or any(b in s for s in larger.get(a, ()))
+        for a, b in g
+    )
 
 
 def cover_capacity(cover: Iterable[Iterable[int]]) -> int:
@@ -131,7 +142,8 @@ def verify_certificate(
     cur_g = frozenset(g)
     cur_m = frozenset(matching)
     for step in contractions:
-        if step.fresh in vertices(cur_g):
+        vs = vertices(cur_g)
+        if step.fresh in vs:
             problems.append(
                 f"contraction target {step.fresh} already occurs in the graph"
             )
@@ -142,7 +154,7 @@ def verify_certificate(
                 f"of the graph it was contracted in"
             )
             break
-        cmap = ContractionMap(frozenset(vertices(cur_g) - set(step.cycle)), step.fresh)
+        cmap = ContractionMap(frozenset(vs - set(step.cycle)), step.fresh)
         cur_g = quotient_graph(cmap, cur_g)
         cur_m = quotient_graph(cmap, cur_m)
     report = verify_maximum(cur_g, cur_m, cover)

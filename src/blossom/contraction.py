@@ -148,9 +148,7 @@ def splice_cycle(
         return cycle_segment(cycle, mset, tail[0], g) + tail
     if not tail:
         return cycle_segment(cycle, mset, head[-1], g) + list(reversed(head))
-    cmap = ContractionMap(frozenset(vertices(g) - set(cycle)), target)
-    quotient_matching = quotient_graph(cmap, mset)
-    if edge(target, tail[0]) not in quotient_matching:
+    if not any(edge(c, tail[0]) in mset for c in cycle):
         return head + cycle_segment(cycle, mset, tail[0], g) + tail
     return list(reversed(tail)) + cycle_segment(cycle, mset, head[-1], g) + list(reversed(head))
 

@@ -157,18 +157,6 @@ def run_search(
     return SearchResult(None, state)
 
 
-def find_alternating_paths(
-    g: Iterable[Edge],
-    matching: Iterable[Edge],
-    *,
-    check_invariants: bool = False,
-    trace: Trace | None = None,
-) -> tuple[list[int], list[int]] | None:
-    """The two root-ward alternating paths meeting at an even-even edge, or
-    None when no unexamined edge with an even endpoint remains."""
-    return run_search(g, matching, check_invariants=check_invariants, trace=trace).paths
-
-
 def build_odd_set_cover(
     g: Iterable[Edge], matching: Iterable[Edge], state: SearchState
 ) -> frozenset[frozenset[int]]:

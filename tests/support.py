@@ -42,6 +42,20 @@ TAILED_TRIANGLE = graph([(1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
 TAILED_TRIANGLE_MATCHING = graph([(2, 3), (4, 5)])
 
 
+def interleaved_odd_cycle(k: int) -> frozenset:
+    """The odd cycle on 4k+1 vertices whose two arms leave vertex 0 and meet
+    at the far end, with interleaved ids a_i = 2i-1 and b_i = 2i. A maximum
+    matching has 2k edges."""
+    a = [2 * i - 1 for i in range(1, 2 * k + 1)]
+    b = [2 * i for i in range(1, 2 * k + 1)]
+    return frozenset(edges_of_path([0] + a + b[::-1] + [0]))
+
+
+# 1,601 vertices: a blossom spanning the cycle is longer than Python's
+# default recursion limit
+INTERLEAVED_400 = interleaved_odd_cycle(400)
+
+
 def k_pairs(n: int, first: int = 1) -> list[tuple[int, int]]:
     """All edges of the complete graph on ``n`` vertices starting at ``first``."""
     return [edge(u, v) for u, v in itertools.combinations(range(first, first + n), 2)]

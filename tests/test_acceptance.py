@@ -164,7 +164,7 @@ def test_a9_termination_and_speed_on_a_larger_graph():
     rng = random.Random(20080)
     g = random_graph(rng, 200, 0.1)
     start = time.perf_counter()
-    m = find_maximum_matching(g)  # recursion depth asserted internally
+    m = find_maximum_matching(g)  # contraction depth bounded internally
     elapsed = time.perf_counter() - start
     assert is_matching(m) and m <= g
     assert elapsed < 5.0

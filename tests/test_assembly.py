@@ -30,6 +30,13 @@ def test_longest_disjoint_prefixes():
     assert longest_disjoint_prefixes([1, 2, 3], [9, 2, 3]) == ([1, 2], [9, 2])
 
 
+def test_longest_disjoint_prefixes_on_long_paths():
+    shared = list(range(10_000, 10_010))
+    first = list(range(4_990)) + shared
+    second = list(range(5_000, 9_990)) + shared
+    assert longest_disjoint_prefixes(first, second) == (first[:4_991], second[:4_991])
+
+
 def test_prefixes_recompose_their_inputs():
     rng = random.Random(31)
     for _ in range(200):

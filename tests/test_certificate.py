@@ -50,6 +50,25 @@ def test_is_odd_set_cover():
     assert is_odd_set_cover([], frozenset())
 
 
+def test_is_odd_set_cover_matches_its_definition():
+    # random covers, overlapping and sometimes even-sized, against the
+    # definition: every member odd, every edge covered by some member
+    rng = random.Random(62)
+    verdicts = set()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 9), 0.4)
+        cover = [
+            frozenset(rng.sample(range(1, 10), rng.choice([1, 1, 1, 2, 3, 3, 5])))
+            for _ in range(rng.randint(0, 8))
+        ]
+        expected = all(len(s) % 2 == 1 for s in cover) and all(
+            any(covers(s, e) for s in cover) for e in g
+        )
+        assert is_odd_set_cover(cover, g) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_verify_maximum_examples():
     single = graph([(1, 2)])
     report = verify_maximum(single, single, [{1}])

@@ -19,7 +19,15 @@ from blossom.cli import (
     run_solve,
     run_verify,
 )
-from support import DEMO7, DEMO12, TRIANGLE, dimacs, k_pairs, random_graph
+from support import (
+    DEMO7,
+    DEMO12,
+    INTERLEAVED_400,
+    TRIANGLE,
+    dimacs,
+    k_pairs,
+    random_graph,
+)
 
 DEMO12_TEXT = dimacs(12, DEMO12)
 DEMO7_TEXT = dimacs(7, DEMO7)
@@ -122,6 +130,13 @@ def test_solve_trace_streams_search_records(tmp_path):
     records = [line for line in err.splitlines() if line]
     assert records
     assert all(line.split()[0] in ("grow", "found", "skip") for line in records)
+
+
+def test_solve_interleaved_odd_cycle(tmp_path):
+    text = dimacs(1601, [(u + 1, v + 1) for u, v in INTERLEAVED_400])
+    code, out, err, _ = _solve(tmp_path, text)
+    assert code == EXIT_OK, err
+    assert out.splitlines()[0] == "s 800"
 
 
 def test_solve_certificate_then_verify(tmp_path):

@@ -9,7 +9,6 @@ from blossom import (
     SearchState,
     build_odd_set_cover,
     check_search_invariants,
-    find_alternating_paths,
     follow,
     graph,
     run_search,
@@ -30,10 +29,10 @@ def test_follow_detects_parent_cycles():
 
 
 def test_search_examples():
-    assert find_alternating_paths(PATH4, graph([(2, 3)])) == ([3, 2, 1], [4])
-    assert find_alternating_paths(TRIANGLE, graph([(1, 2)])) == ([2, 1, 3], [3])
+    assert run_search(PATH4, graph([(2, 3)])).paths == ([3, 2, 1], [4])
+    assert run_search(TRIANGLE, graph([(1, 2)])).paths == ([2, 1, 3], [3])
     single = graph([(1, 2)])
-    assert find_alternating_paths(single, single) is None
+    assert run_search(single, single).paths is None
 
 
 def test_search_rejects_bad_matchings():

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from blossom import (
     brute_force_augmenting_path,
     brute_force_maximum_matching,
@@ -19,6 +21,7 @@ from support import (
     DEMO7_MATCHING,
     DEMO12,
     DEMO12_MATCHING,
+    INTERLEAVED_400,
     PATH4,
     TAILED_TRIANGLE,
     TAILED_TRIANGLE_MATCHING,
@@ -125,3 +128,22 @@ def test_certificates_verify_on_random_instances():
         assert replay.verdict and not problems
         certified += 1
     assert certified == 100
+
+
+@pytest.fixture(scope="module")
+def interleaved_matching():
+    return find_maximum_matching(INTERLEAVED_400)
+
+
+def test_interleaved_odd_cycle_solves(interleaved_matching):
+    assert len(interleaved_matching) == 800
+    assert is_matching(interleaved_matching) and interleaved_matching <= INTERLEAVED_400
+
+
+def test_interleaved_odd_cycle_certifies(interleaved_matching):
+    cert = certify_maximality(INTERLEAVED_400, interleaved_matching)
+    assert cert is not None
+    report, problems = verify_certificate(
+        INTERLEAVED_400, interleaved_matching, list(cert.contractions), cert.cover
+    )
+    assert report.verdict and not problems
