@@ -148,6 +148,13 @@ def _read(path: str, err: TextIO) -> str | None:
         return None
 
 
+def _internal_error(exc: Exception, err: TextIO) -> int:
+    """Report an unexpected exception on one line, without a traceback."""
+    message = " ".join(str(exc).split())
+    print(f"internal error: {type(exc).__name__}: {message}", file=err)
+    return EXIT_INTERNAL
+
+
 def run_solve(
     graph_path: str,
     certificate_path: str | None = None,
@@ -160,7 +167,9 @@ def run_solve(
     With a certificate path, the failing search for the final matching is
     rerun and its odd set cover, for the final contracted graph, is written
     there together with the contraction history. With trace enabled, one
-    record per search iteration goes to standard error (0-based vertex ids).
+    ``grow``, ``found`` or ``skip`` record per edge the solve examines goes
+    to standard error, with the input's vertex ids shifted to 0-based.
+    Any unexpected exception ends in exit code 3 and one line of error.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -184,9 +193,8 @@ def run_solve(
             certificate_text = format_certificate(
                 certificate.contractions, certificate.cover, offset=1
             )
-    except (InvariantViolation, AssertionError) as exc:
-        print(f"internal error: {exc}", file=err)
-        return EXIT_INTERNAL
+    except Exception as exc:  # any failure of the solver is an internal error
+        return _internal_error(exc, err)
     _print_matching(matching, out)
     if certificate_text is not None:
         try:
@@ -206,7 +214,8 @@ def run_verify(
     err: TextIO | None = None,
 ) -> int:
     """Check a matching file against a graph file, and optionally a
-    certificate of maximality; prints a human-readable report."""
+    certificate of maximality; prints a human-readable report. An unexpected
+    exception from the verifier ends in exit code 3 and one line of error."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     graph_text = _read(graph_path, err)
@@ -235,7 +244,10 @@ def run_verify(
         except ValueError as exc:
             print(f"error: {certificate_path}: {exc}", file=err)
             return EXIT_PARSE
-        report, problems = verify_certificate(g, matching, steps, cover)
+        try:
+            report, problems = verify_certificate(g, matching, steps, cover)
+        except Exception as exc:  # any failure of the verifier is an internal error
+            return _internal_error(exc, err)
         print(f"contractions replayed: {len(steps)}", file=out)
         for problem in problems:
             print(f"certificate problem: {problem}", file=out)
@@ -294,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     solve.add_argument(
         "--trace",
         action="store_true",
-        help="stream one search record per iteration to standard error "
+        help="stream one search record per examined edge to standard error "
         "(0-based vertex ids)",
     )
     solve.add_argument(

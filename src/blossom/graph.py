@@ -38,11 +38,6 @@ def vertices(g: Iterable[Edge]) -> set[int]:
     return vs
 
 
-def degree(g: Iterable[Edge], v: int) -> int:
-    """Number of edges incident on ``v``; 0 if the vertex is absent."""
-    return sum(1 for e in g if v in e)
-
-
 def neighbours(g: Iterable[Edge], v: int) -> set[int]:
     """Vertices adjacent to ``v``."""
     return {b if a == v else a for a, b in g if v == a or v == b}
@@ -91,80 +86,3 @@ def edges_of_path(path: Sequence[int]) -> list[Edge]:
             raise ValueError(f"consecutive duplicate vertex {a} in path")
         out.append(edge(a, b))
     return out
-
-
-def _component_from(adj: dict[int, set[int]], v: int) -> set[int]:
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
-def connected_component(g: Iterable[Edge], v: int) -> set[int]:
-    """All vertices reachable from ``v``, including ``v`` itself."""
-    return _component_from(adjacency(g), v)
-
-
-def connected_components(g: Iterable[Edge]) -> set[frozenset[int]]:
-    """The connected components of the graph, as vertex sets."""
-    adj = adjacency(g)
-    remaining = set(adj)
-    comps = set()
-    while remaining:
-        comp = _component_from(adj, next(iter(remaining)))
-        comps.add(frozenset(comp))
-        remaining -= comp
-    return comps
-
-
-def component_edges(g: Iterable[Edge], component: Iterable[int]) -> frozenset[Edge]:
-    """Edges of the graph with both endpoints inside ``component``."""
-    cs = set(component)
-    return frozenset(e for e in g if e[0] in cs and e[1] in cs)
-
-
-def component_as_path(g: Iterable[Edge], component: Iterable[int]) -> list[int]:
-    """Arrange a connected component with all degrees at most two into a
-    simple path covering exactly its vertices and edges.
-
-    Raises ValueError if some vertex of the component has degree three or
-    more, or if its edges form a cycle; either signals a violated caller
-    precondition (the intended inputs are components of a symmetric
-    difference of two matchings with unequal edge counts, which are always
-    paths). The walk starts at the smallest endpoint, so the result is
-    deterministic up to that choice.
-    """
-    comp = set(component)
-    gset = frozenset(g)
-    if len(comp) == 1:
-        (v,) = comp
-        if v not in vertices(gset):
-            raise ValueError(f"vertex {v} does not occur in the graph")
-        return [v]
-    sub = component_edges(gset, comp)
-    adj = adjacency(sub)
-    if set(adj) != comp:
-        raise ValueError("vertex set is not connected by its component edges")
-    if any(len(ns) > 2 for ns in adj.values()):
-        raise ValueError("component has a vertex of degree 3 or more")
-    ends = sorted(v for v, ns in adj.items() if len(ns) <= 1)
-    if not ends:
-        raise ValueError("component is a cycle, not arrangeable as a path")
-    path = [ends[0]]
-    prev = None
-    while True:
-        step = [w for w in sorted(adj[path[-1]]) if w != prev]
-        if not step:
-            break
-        prev = path[-1]
-        path.append(step[0])
-    if len(path) != len(comp) or set(path) != comp:
-        raise ValueError("component does not arrange into a simple path")
-    return path

@@ -1,8 +1,13 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blossom
 from blossom import graph
 from blossom.cli import (
     EXIT_OK,
@@ -197,6 +202,47 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert run_solve(str(tmp_path / "g.txt"), out=out, err=err) == 3
     assert "internal error" in err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["find_maximum_matching", "verify_certificate"])
+def test_unexpected_errors_exit_three_on_one_line(tmp_path, monkeypatch, target):
+    import blossom.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("induced\nfor the test")
+
+    monkeypatch.setattr(cli, target, boom)
+    (tmp_path / "g.txt").write_text(TRIANGLE_TEXT)
+    (tmp_path / "m.txt").write_text("s 1\nm 1 2\n")
+    (tmp_path / "c.txt").write_text("s 1 2 3\n")
+    out, err = io.StringIO(), io.StringIO()
+    if target == "find_maximum_matching":
+        code = run_solve(str(tmp_path / "g.txt"), out=out, err=err)
+    else:
+        code = run_verify(
+            str(tmp_path / "g.txt"),
+            str(tmp_path / "m.txt"),
+            str(tmp_path / "c.txt"),
+            out=out,
+            err=err,
+        )
+    assert code == 3
+    assert err.getvalue().splitlines() == ["internal error: RuntimeError: induced for the test"]
+
+
+def test_solve_under_python_optimize(tmp_path):
+    # -O strips assert statements; the engine's own checks must not depend on them
+    src = Path(blossom.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cycle = [(u + 1, v + 1) for u, v in INTERLEAVED_400]
+    for text, size in ((DEMO12_TEXT, 5), (dimacs(1601, cycle), 800)):
+        (tmp_path / "g.txt").write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "blossom.cli", "solve", str(tmp_path / "g.txt")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == f"s {size}"
 
 
 def test_verify_single_edge_with_singleton_cover(tmp_path):

@@ -3,11 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blossom import (
-    component_as_path,
-    component_edges,
-    connected_component,
-    connected_components,
-    degree,
     edge,
     edges_of_path,
     graph,
@@ -15,7 +10,19 @@ from blossom import (
     is_simple,
     vertices,
 )
-from support import DEMO7, DEMO12, PATH4, TRIANGLE, all_graphs, k_pairs
+from support import (
+    DEMO7,
+    DEMO12,
+    PATH4,
+    TRIANGLE,
+    all_graphs,
+    component_as_path,
+    component_edges,
+    connected_component,
+    connected_components,
+    degree,
+    k_pairs,
+)
 
 small_graphs = st.builds(
     frozenset, st.sets(st.sampled_from(k_pairs(7)), max_size=21)

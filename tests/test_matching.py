@@ -6,10 +6,6 @@ from hypothesis import strategies as st
 
 from blossom import (
     augment,
-    component_as_path,
-    component_edges,
-    connected_components,
-    degree,
     edges_of_path,
     graph,
     is_alternating,
@@ -25,6 +21,10 @@ from support import (
     DEMO7_MATCHING,
     DEMO12_MATCHING,
     PATH4,
+    component_as_path,
+    component_edges,
+    connected_components,
+    degree,
     random_graph,
     random_matching,
 )

@@ -1,21 +1,29 @@
 import itertools
 import random
+import re
+import sys
 
 import pytest
 
+import blossom.forest
 from blossom import (
+    InvariantViolation,
     brute_force_augmenting_path,
     brute_force_maximum_matching,
     certify_maximality,
+    edge,
+    edges_of_path,
     find_augmenting_path,
     find_maximum_matching,
     graph,
     is_augmenting_path,
     is_matching,
+    run_search,
     verify_certificate,
     verify_maximum,
     vertices,
 )
+from blossom.solver import _bases_to_root, _flip_to_root, _link_blossom_path
 from support import (
     DEMO7,
     DEMO7_MATCHING,
@@ -27,6 +35,7 @@ from support import (
     TAILED_TRIANGLE_MATCHING,
     TRIANGLE,
     random_graph,
+    reference_maximum_matching,
 )
 
 
@@ -88,19 +97,20 @@ def test_blossom_heavy_structures():
     )
     assert len(find_maximum_matching(petersen)) == 5
 
-    for n in (3, 5, 7, 9, 11):
+    for n in (3, 5, 7, 9, 11, 41, 81):
         clique = graph(itertools.combinations(range(n), 2))
         assert len(find_maximum_matching(clique)) == (n - 1) // 2
 
     # triangles joined by bridges force repeated, nested contractions
-    edges = []
-    for i in range(5):
-        b = 3 * i
-        edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
-        if i < 4:
-            edges.append((b + 2, b + 3))
-    chain = graph(edges)
-    assert len(find_maximum_matching(chain)) == 7  # 15 vertices, one left over
+    for k in (5, 40):
+        edges = []
+        for i in range(k):
+            b = 3 * i
+            edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
+            if i < k - 1:
+                edges.append((b + 2, b + 3))
+        chain = graph(edges)
+        assert len(find_maximum_matching(chain)) == 3 * k // 2  # one left over when k is odd
 
 
 def test_certify_maximality():
@@ -147,3 +157,98 @@ def test_interleaved_odd_cycle_certifies(interleaved_matching):
         INTERLEAVED_400, interleaved_matching, list(cert.contractions), cert.cover
     )
     assert report.verdict and not problems
+
+
+def certified(g, m) -> bool:
+    cert = certify_maximality(g, m)
+    if cert is None:
+        return False
+    report, problems = verify_certificate(g, m, list(cert.contractions), cert.cover)
+    return report.verdict and not problems
+
+
+def test_engine_agrees_with_the_reference_loop():
+    rng = random.Random(55)
+    for _ in range(150):
+        n = rng.randint(1, 60)
+        g = random_graph(rng, n, rng.choice([1.5 / n, 3 / n, 0.1, 0.3]))
+        m = find_maximum_matching(g)
+        assert is_matching(m) and m <= g
+        assert len(m) == len(reference_maximum_matching(g))
+        assert certified(g, m)
+
+
+def test_long_even_stem_into_a_five_cycle():
+    # a stem of 400 edges from 0 to the base 400 of the cycle
+    # 400-401-402-403-404, and a pendant vertex 405 on the cycle's far side:
+    # a perfect matching exists, under any numbering of the vertices
+    g = frozenset(
+        edges_of_path(range(401)) + edges_of_path([400, 401, 402, 403, 404, 400]) + [(402, 405)]
+    )
+    rng = random.Random(56)
+    orders = [list(range(406)), list(range(405, -1, -1))]
+    orders += [rng.sample(range(406), 406) for _ in range(3)]
+    for order in orders:
+        relabelled = frozenset(edge(order[a], order[b]) for a, b in g)
+        m = find_maximum_matching(relabelled)
+        assert len(m) == 203
+        assert certified(relabelled, m)
+
+
+def test_edge_order_does_not_change_the_matching():
+    rng = random.Random(57)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(2, 40), 0.15)
+        pairs = sorted(g, reverse=True)
+        m = find_maximum_matching(pairs)
+        assert find_maximum_matching(g) == m
+        rng.shuffle(pairs)
+        assert find_maximum_matching([(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]) == m
+
+
+GROW = re.compile(r"grow (\d+) (\d+) label \2 odd (\d+) label (\d+) even \3 parent \2 \1 parent \4 \2")
+FOUND_OR_SKIP = re.compile(r"(found|skip) \d+ \d+")
+
+
+def test_trace_records_use_the_search_layouts_and_input_ids():
+    searched: list[str] = []
+    run_search(DEMO7, DEMO7_MATCHING, trace=searched.append)
+    for g in (DEMO7, DEMO12):
+        records: list[str] = []
+        find_maximum_matching(g, trace=records.append)
+        assert records
+        for record in records + searched:
+            assert GROW.fullmatch(record) or FOUND_OR_SKIP.fullmatch(record), record
+        assert {int(t) for r in records for t in r.split() if t.isdigit()} <= vertices(g)
+
+
+def test_certify_searches_each_level_once(monkeypatch):
+    calls = []
+    original = blossom.forest.run_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("blossom.") and getattr(module, "run_search", None) is original:
+            monkeypatch.setattr(module, "run_search", counted)
+            patched.add(name)
+    assert "blossom.assembly" in patched
+    for g, m, levels in ((DEMO12, DEMO12_MATCHING, 3), (TAILED_TRIANGLE, TAILED_TRIANGLE_MATCHING, 2)):
+        calls.clear()
+        cert = certify_maximality(g, m)
+        assert cert is not None and len(cert.contractions) == levels - 1
+        assert len(calls) == levels
+
+
+def test_engine_pointer_walks_stop_on_a_cycle():
+    # vertices 0 and 1 matched to each other, each the other's parent
+    base, parent, mate = [0, 1], [1, 0], [1, 0]
+    with pytest.raises(InvariantViolation):
+        _bases_to_root(0, base, parent, mate)
+    with pytest.raises(InvariantViolation):
+        _flip_to_root(0, parent, list(mate))
+    with pytest.raises(InvariantViolation):
+        _link_blossom_path(0, 1, 2, base, parent, mate, set())
