@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .contraction import is_blossom
-from .forest import SearchState, Trace, run_search
+from .forest import Trace, run_search
 from .graph import Edge, vertices
 from .matching import is_augmenting_path
 
@@ -56,15 +56,8 @@ def find_path_or_blossom(
     the same tree into a blossom whose cycle closes at the paths' first
     shared vertex.
     """
-    return search_path_or_blossom(frozenset(g), frozenset(matching), trace)[0]
-
-
-def search_path_or_blossom(
-    gset: frozenset[Edge], mset: frozenset[Edge], trace: Trace | None
-) -> tuple[AugmentingPath | FoundBlossom | None, SearchState | None]:
-    """``find_path_or_blossom``'s answer together with the forest search's
-    final state, or None in its place when a fully unmatched edge answered
-    without a search."""
+    gset = frozenset(g)
+    mset = frozenset(matching)
     matched = vertices(mset)
     free = min(
         (e for e in gset if e[0] not in matched and e[1] not in matched), default=None
@@ -72,20 +65,20 @@ def search_path_or_blossom(
     if free is not None:
         found = AugmentingPath([free[0], free[1]])
         assert is_augmenting_path(gset, mset, found.path)
-        return found, None
-    result = run_search(gset, mset, trace=trace)
-    if result.paths is None:
-        return None, result.state
-    p1, p2 = result.paths
+        return found
+    paths = run_search(gset, mset, trace=trace).paths
+    if paths is None:
+        return None
+    p1, p2 = paths
     if not set(p1) & set(p2):
         assert p1[-1] != p2[-1]
         found = AugmentingPath(list(reversed(p1)) + p2)
         assert is_augmenting_path(gset, mset, found.path)
-        return found, result.state
+        return found
     assert p1[-1] == p2[-1]
     pfx1, pfx2 = longest_disjoint_prefixes(p1, p2)
     assert pfx1 is not None and pfx2 is not None
     stem = list(reversed(p1[len(pfx1) :]))
     cycle = list(reversed(pfx1)) + pfx2
     assert is_blossom(gset, mset, stem, cycle)
-    return FoundBlossom(stem, cycle), result.state
+    return FoundBlossom(stem, cycle)

@@ -4,9 +4,9 @@ and the certificate text format.
 An odd set cover is a collection of odd-cardinality vertex sets covering
 every edge. Its capacity bounds the size of every matching, so a cover whose
 capacity equals a matching's size proves that matching maximum. The solver
-builds covers for the graph its final failed search ran on, which may be a
-contraction of the input; a certificate therefore carries the contraction
-history, and verification replays it.
+builds covers for the input graph itself, so its certificates carry no
+contractions. The format also admits a contraction history ahead of the
+cover, for a cover of a contracted graph; verification replays it first.
 """
 
 from __future__ import annotations
@@ -114,12 +114,11 @@ class ContractionStep:
 
 @dataclass(frozen=True)
 class MaximalityCertificate:
-    """Contraction history plus an odd set cover of the final contracted
-    graph, whose capacity equals the final matching's size."""
+    """An odd set cover whose capacity equals the matching's size, for the
+    graph reached after the recorded contractions. ``certify_maximality``
+    records none, so its covers are covers of the input graph."""
 
     contractions: tuple[ContractionStep, ...]
-    final_graph: frozenset[Edge]
-    final_matching: frozenset[Edge]
     cover: frozenset[frozenset[int]]
 
 

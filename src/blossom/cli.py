@@ -164,9 +164,10 @@ def run_solve(
 ) -> int:
     """Solve a graph file and print the maximum matching in ``s``/``m`` form.
 
-    With a certificate path, the failing search for the final matching is
-    rerun and its odd set cover, for the final contracted graph, is written
-    there together with the contraction history. With trace enabled, one
+    With a certificate path, one more engine phase runs from the final
+    matching and fails to augment it, and the odd set cover read off its
+    forest is written there: ``s`` lines only, a cover of the input graph
+    with no contraction history. With trace enabled, one
     ``grow``, ``found`` or ``skip`` record per edge the solve examines goes
     to standard error, with the input's vertex ids shifted to 0-based.
     Any unexpected exception ends in exit code 3 and one line of error.

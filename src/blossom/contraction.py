@@ -133,7 +133,6 @@ def splice_cycle(
     head: Sequence[int],
     tail: Sequence[int],
     g: Iterable[Edge],
-    target: int,
 ) -> list[int]:
     """Rebuild an augmenting path whose contracted vertex sat between
     ``head`` and ``tail``, replacing it with a segment of the cycle.
@@ -171,4 +170,4 @@ def lift_path(
     if target not in path:
         return path
     at = path.index(target)
-    return splice_cycle(cycle, matching, path[:at], path[at + 1 :], g, target)
+    return splice_cycle(cycle, matching, path[:at], path[at + 1 :], g)

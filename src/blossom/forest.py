@@ -11,7 +11,7 @@ the final state yields an odd-set-cover certificate).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -163,11 +163,9 @@ def build_odd_set_cover(
     """Odd set cover certifying maximality after a failed search.
 
     The base cover is one singleton per odd-labelled vertex. Matching edges
-    the search never examined have only unlabelled endpoints; if one such
-    edge remains, one of its endpoints joins as a singleton, and if several
-    remain, one edge contributes a singleton while the other endpoint
-    together with all remaining matched vertices forms one odd set. The
-    capacities then sum to exactly the matching size.
+    the search never examined have only unlabelled endpoints, and
+    ``leftover_cover`` adds the sets for them. The capacities then sum to
+    exactly the matching size.
     """
     gset = frozenset(g)
     mset = frozenset(matching)
@@ -180,16 +178,21 @@ def build_odd_set_cover(
                     "an unexamined edge still has an even endpoint; the search did not finish"
                 )
     cover = {frozenset((v,)) for v, lab in labels.items() if lab.parity is Parity.ODD}
-    leftover = sorted(mset - examined)
-    if leftover:
-        r1, r2 = leftover[0]
-        cover.add(frozenset((r1,)))
-        if len(leftover) > 1:
-            big = {r2}
-            for e in leftover[1:]:
-                big.update(e)
-            cover.add(frozenset(big))
+    cover.update(leftover_cover(sorted(mset - examined)))
     return frozenset(cover)
+
+
+def leftover_cover(leftover: Sequence[Edge]) -> list[frozenset[int]]:
+    """Cover sets for the matching edges no tree reached, given sorted: a
+    singleton for one endpoint of the first edge and, when more remain, one
+    odd set of its other endpoint and every vertex of the rest."""
+    if not leftover:
+        return []
+    (r1, r2), rest = leftover[0], leftover[1:]
+    sets = [frozenset((r1,))]
+    if rest:
+        sets.append(frozenset([r2, *(v for e in rest for v in e)]))
+    return sets
 
 
 def check_search_invariants(

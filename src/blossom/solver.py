@@ -1,53 +1,18 @@
-"""The maximum-matching engine, which shrinks blossoms in place over arrays,
+"""The maximum-matching engine, which shrinks blossoms in place over arrays
+and certifies maximality from the forest of a phase that fails to augment,
 and the paper-shaped augmenting-path search with iterated cycle contraction
-that ``find_augmenting_path`` and ``certify_maximality`` run."""
+that ``find_augmenting_path`` runs."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import NamedTuple
 
-from .assembly import AugmentingPath, FoundBlossom, search_path_or_blossom
-from .certificate import ContractionStep, MaximalityCertificate
+from .assembly import FoundBlossom, find_path_or_blossom
+from .certificate import MaximalityCertificate
 from .contraction import ContractionMap, fresh_vertex, lift_path, quotient_graph
-from .forest import InvariantViolation, SearchState, Trace, build_odd_set_cover
+from .forest import InvariantViolation, Trace, leftover_cover
 from .graph import Edge, graph, vertices
-
-
-class _Level(NamedTuple):
-    g: frozenset[Edge]
-    matching: frozenset[Edge]
-    blossom: FoundBlossom
-    fresh: int
-
-
-def _contract_until_found(
-    g: frozenset[Edge], matching: frozenset[Edge], trace: Trace | None
-) -> tuple[
-    list[_Level], frozenset[Edge], frozenset[Edge], AugmentingPath | None, SearchState | None
-]:
-    """Search, contract the blossom found, and search the quotient again,
-    until a search ends in an augmenting path or in nothing.
-
-    Returns the contractions made, outermost first: each is the graph and
-    matching a blossom was found in and the fresh vertex its cycle became.
-    The graph and matching of the last search, its outcome and its final
-    state (None when a fully unmatched edge answered) come after.
-    """
-    levels: list[_Level] = []
-    bound = 0
-    while True:
-        found, state = search_path_or_blossom(g, matching, trace)
-        if not isinstance(found, FoundBlossom):
-            return levels, g, matching, found, state
-        vs = vertices(g)
-        bound = bound or len(vs)
-        if len(levels) >= bound:
-            raise InvariantViolation("contraction chain exceeded the vertex count")
-        target = fresh_vertex(vs)
-        levels.append(_Level(g, matching, found, target))
-        cmap = ContractionMap(frozenset(vs - set(found.cycle)), target)
-        g, matching = quotient_graph(cmap, g), quotient_graph(cmap, matching)
+from .matching import is_matching
 
 
 def find_augmenting_path(
@@ -62,12 +27,27 @@ def find_augmenting_path(
     allocated past the current maximum id, so nested contractions can never
     collide with original vertices.
     """
-    levels, _, _, found, _ = _contract_until_found(frozenset(g), frozenset(matching), trace)
+    cur_g, cur_m = frozenset(g), frozenset(matching)
+    # (graph, matching, cycle, fresh vertex) per contraction, outermost first
+    levels: list[tuple[frozenset[Edge], frozenset[Edge], list[int], int]] = []
+    bound = 0
+    while True:
+        found = find_path_or_blossom(cur_g, cur_m, trace=trace)
+        if not isinstance(found, FoundBlossom):
+            break
+        vs = vertices(cur_g)
+        bound = bound or len(vs)
+        if len(levels) >= bound:
+            raise InvariantViolation("contraction chain exceeded the vertex count")
+        target = fresh_vertex(vs)
+        levels.append((cur_g, cur_m, found.cycle, target))
+        cmap = ContractionMap(frozenset(vs - set(found.cycle)), target)
+        cur_g, cur_m = quotient_graph(cmap, cur_g), quotient_graph(cmap, cur_m)
     if found is None:
         return None
     path = list(found.path)
-    for level in reversed(levels):
-        path = lift_path(level.blossom.cycle, level.matching, path, level.g, level.fresh)
+    for level_g, level_m, cycle, target in reversed(levels):
+        path = lift_path(cycle, level_m, path, level_g, target)
     return path
 
 
@@ -89,16 +69,8 @@ def find_maximum_matching(
     receives one record per examined edge, in the layouts ``run_search``
     uses and with the input's vertex ids.
     """
-    gset = graph(g)
-    ids = sorted({v for e in gset for v in e})
-    index = {v: i for i, v in enumerate(ids)}
+    gset, ids, _, adj = _renumber(g)
     n = len(ids)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in gset:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    for ns in adj:
-        ns.sort()
     mate = [-1] * n
     for v in range(n):
         if mate[v] < 0:
@@ -107,7 +79,7 @@ def find_maximum_matching(
                     mate[v], mate[w] = w, v
                     break
     for _ in range(n // 2 + 1):
-        if not _augment_phase(adj, mate, ids, trace):
+        if _augment_phase(adj, mate, ids, trace) is not None:
             break
     else:
         raise InvariantViolation("augmentation loop failed to terminate")
@@ -117,12 +89,31 @@ def find_maximum_matching(
     return matching
 
 
+def _renumber(
+    g: Iterable[Edge],
+) -> tuple[frozenset[Edge], list[int], dict[int, int], list[list[int]]]:
+    """The graph's canonical edge set, its vertex ids in sorted order, the
+    index 0..n-1 of each id in that order, and the sorted adjacency lists
+    over the indices."""
+    gset = graph(g)
+    ids = sorted({v for e in gset for v in e})
+    index = {v: i for i, v in enumerate(ids)}
+    adj: list[list[int]] = [[] for _ in ids]
+    for a, b in gset:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    for ns in adj:
+        ns.sort()
+    return gset, ids, index, adj
+
+
 def _augment_phase(
     adj: list[list[int]], mate: list[int], ids: list[int], trace: Trace | None
-) -> bool:
+) -> tuple[list[int], list[int]] | None:
     """Grow one alternating forest from every unmatched vertex, contracting
     each blossom that closes, and augment along the first edge that joins
-    two of its trees. Returns whether the matching grew.
+    two of its trees. Returns None when the matching grew, and otherwise
+    the final ``label`` and ``base`` arrays of the forest.
 
     ``parent[x]`` is the vertex an odd vertex was entered from. Contracting
     a blossom also sets it on the blossom's even vertices, pointing across
@@ -163,7 +154,7 @@ def _augment_phase(
                     _flip_to_root(v, parent, mate)
                     _flip_to_root(w, parent, mate)
                     mate[v], mate[w] = w, v
-                    return True
+                    return None
                 on_v = set(to_v)
                 b = next(x for x in to_w if x in on_v)
                 bases: set[int] = set()
@@ -175,7 +166,7 @@ def _augment_phase(
                         if label[i] == ODD:
                             label[i] = EVEN
                             queue.append(i)
-    return False
+    return label, base
 
 
 def _bases_to_root(
@@ -235,20 +226,33 @@ def _link_blossom_path(
 def certify_maximality(
     g: Iterable[Edge], matching: Iterable[Edge]
 ) -> MaximalityCertificate | None:
-    """Rerun the failing search chain for a maximum matching and package the
-    resulting odd set cover with the contraction history.
+    """An odd set cover of the input graph with capacity equal to the
+    matching's size, read off one engine phase that fails to augment it:
+    a singleton per odd vertex, the vertex set of each outer blossom (even
+    vertices sharing a base, more than one), and ``leftover_cover``'s sets
+    for the matched vertices no tree reached. No contractions are recorded.
 
-    Returns None when an augmenting path exists, in which case the matching
-    is not maximum and nothing can be certified.
+    None when the phase augments: the matching is not maximum. Raises
+    ValueError when the edge set is not a matching inside the graph.
     """
-    levels, final_g, final_m, found, state = _contract_until_found(
-        frozenset(g), frozenset(matching), None
-    )
-    if found is not None:
+    gset, ids, index, adj = _renumber(g)
+    mset = graph(matching)
+    if not is_matching(mset):
+        raise ValueError("the given edge set is not a matching")
+    if not mset <= gset:
+        raise ValueError("the matching has edges outside the graph")
+    mate = [-1] * len(ids)
+    for a, b in mset:
+        mate[index[a]], mate[index[b]] = index[b], index[a]
+    forest = _augment_phase(adj, mate, ids, None)
+    if forest is None:
         return None
-    cover = build_odd_set_cover(final_g, final_m, state)
-    contractions = tuple(
-        ContractionStep(level.blossom.stem, level.blossom.cycle, level.fresh)
-        for level in levels
-    )
-    return MaximalityCertificate(contractions, final_g, final_m, cover)
+    label, base = forest
+    cover = [frozenset((ids[v],)) for v, lab in enumerate(label) if lab == ODD]
+    blossoms: dict[int, list[int]] = {}
+    for v, lab in enumerate(label):
+        if lab == EVEN:
+            blossoms.setdefault(base[v], []).append(ids[v])
+    cover += [frozenset(vs) for vs in blossoms.values() if len(vs) > 1]
+    cover += leftover_cover(sorted(e for e in mset if not label[index[e[0]]]))
+    return MaximalityCertificate((), frozenset(cover))

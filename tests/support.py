@@ -7,16 +7,25 @@ import random
 from collections.abc import Iterable
 
 from blossom import (
+    ContractionMap,
+    ContractionStep,
     Edge,
+    FoundBlossom,
     InvariantViolation,
+    MaximalityCertificate,
     adjacency,
     augment,
+    build_odd_set_cover,
     edge,
     edges_of_path,
     find_augmenting_path,
+    find_path_or_blossom,
+    fresh_vertex,
     graph,
     is_blossom,
     is_matching,
+    quotient_graph,
+    run_search,
     vertices,
 )
 
@@ -175,6 +184,28 @@ def reference_maximum_matching(g) -> frozenset:
             return matching
         matching = augment(matching, path)
     raise InvariantViolation("augmentation loop failed to terminate")
+
+
+def reference_certificate(g, matching) -> MaximalityCertificate | None:
+    """The paper-shaped certificate: search, contract each blossom found and
+    search the quotient again, then build the odd set cover of the last
+    level's failed search. None when an augmenting path exists. Its ``x``
+    steps are what ``verify_certificate`` replays."""
+    cur_g, cur_m = frozenset(g), frozenset(matching)
+    steps = []
+    for _ in range(len(vertices(cur_g)) + 1):
+        found = find_path_or_blossom(cur_g, cur_m)
+        if found is None:
+            cover = build_odd_set_cover(cur_g, cur_m, run_search(cur_g, cur_m).state)
+            return MaximalityCertificate(tuple(steps), cover)
+        if not isinstance(found, FoundBlossom):
+            return None
+        vs = vertices(cur_g)
+        target = fresh_vertex(vs)
+        steps.append(ContractionStep(found.stem, found.cycle, target))
+        cmap = ContractionMap(frozenset(vs - set(found.cycle)), target)
+        cur_g, cur_m = quotient_graph(cmap, cur_g), quotient_graph(cmap, cur_m)
+    raise InvariantViolation("contraction chain exceeded the vertex count")
 
 
 def degree(g: Iterable[Edge], v: int) -> int:

@@ -14,6 +14,7 @@ from blossom import (
     brute_force_augmenting_path,
     brute_force_maximum_matching,
     build_odd_set_cover,
+    certify_maximality,
     find_maximum_matching,
     find_path_or_blossom,
     fresh_vertex,
@@ -46,12 +47,15 @@ def test_a1_exhaustive_equivalence_with_bruteforce():
     start = time.perf_counter()
     count = 0
     for g in all_graphs(6):
-        assert len(find_maximum_matching(g)) == len(brute_force_maximum_matching(g))
+        m = find_maximum_matching(g)
+        assert len(m) == len(brute_force_maximum_matching(g))
+        cert = certify_maximality(g, m)
+        assert cert is not None and verify_maximum(g, m, cert.cover).verdict
         count += 1
     elapsed = time.perf_counter() - start
     assert count == 32768
     assert elapsed < 300.0
-    print(f"A1: PASS ({count} graphs on <= 6 vertices in {elapsed:.1f}s)")
+    print(f"A1: PASS ({count} graphs on <= 6 vertices, each certified, in {elapsed:.1f}s)")
 
 
 def test_a2_randomized_equivalence_and_berge_check():

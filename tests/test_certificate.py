@@ -23,6 +23,7 @@ from support import (
     all_graphs,
     all_matchings,
     random_graph,
+    reference_certificate,
 )
 
 
@@ -95,24 +96,28 @@ def test_verify_maximum_flags_each_failure():
 
 
 def test_weak_duality_for_emitted_covers():
-    # every matching of the certified graph fits under the cover's capacity
+    # every matching of the input graph fits under the cover's capacity
     for g in all_graphs(4):
         m = find_maximum_matching(g)
         cert = certify_maximality(g, m)
         assert cert is not None
-        assert is_odd_set_cover(cert.cover, cert.final_graph)
+        assert is_odd_set_cover(cert.cover, g)
         cap = cover_capacity(cert.cover)
-        for other in all_matchings(cert.final_graph):
+        for other in all_matchings(g):
             assert len(other) <= cap
 
 
 def test_certificate_round_trip():
-    cert = certify_maximality(DEMO12, DEMO12_MATCHING)
+    # the reference chain records contractions, so x lines round-trip too
+    cert = reference_certificate(DEMO12, DEMO12_MATCHING)
+    assert len(cert.contractions) == 2
     for offset in (0, 1):
         text = format_certificate(cert.contractions, cert.cover, offset=offset)
         steps, cover = parse_certificate(text, offset=offset)
         assert steps == list(cert.contractions)
         assert cover == cert.cover
+    report, problems = verify_certificate(DEMO12, DEMO12_MATCHING, steps, cover)
+    assert report.verdict and not problems
 
 
 def test_parse_certificate_rejects_junk():
@@ -127,7 +132,7 @@ def test_parse_certificate_rejects_junk():
 
 
 def test_verify_certificate_detects_tampering():
-    cert = certify_maximality(DEMO12, DEMO12_MATCHING)
+    cert = reference_certificate(DEMO12, DEMO12_MATCHING)
     steps = list(cert.contractions)
 
     # dropping the stem leaves the cycle rooted at a matched vertex
@@ -150,8 +155,8 @@ def test_random_certificates_round_trip_and_verify():
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 10), 0.45)
         m = find_maximum_matching(g)
-        cert = certify_maximality(g, m)
-        text = format_certificate(cert.contractions, cert.cover, offset=1)
-        steps, cover = parse_certificate(text, offset=1)
-        report, problems = verify_certificate(g, m, steps, cover)
-        assert report.verdict and not problems
+        for cert in (certify_maximality(g, m), reference_certificate(g, m)):
+            text = format_certificate(cert.contractions, cert.cover, offset=1)
+            steps, cover = parse_certificate(text, offset=1)
+            report, problems = verify_certificate(g, m, steps, cover)
+            assert report.verdict and not problems

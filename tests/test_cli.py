@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import blossom
-from blossom import graph
+from blossom import format_certificate, graph
 from blossom.cli import (
     EXIT_OK,
     EXIT_ORACLE_LIMIT,
@@ -27,11 +27,13 @@ from blossom.cli import (
 from support import (
     DEMO7,
     DEMO12,
+    DEMO12_MATCHING,
     INTERLEAVED_400,
     TRIANGLE,
     dimacs,
     k_pairs,
     random_graph,
+    reference_certificate,
 )
 
 DEMO12_TEXT = dimacs(12, DEMO12)
@@ -149,6 +151,8 @@ def test_solve_certificate_then_verify(tmp_path):
     assert code == EXIT_OK
     cert_text = cpath.read_text()
     assert cert_text.splitlines()[0].startswith("c ")
+    # a flat cover of the input graph: nothing to replay
+    assert not any(line.startswith("x ") for line in cert_text.splitlines())
     mpath = tmp_path / "matching.txt"
     mpath.write_text(out)
     out_io, err_io = io.StringIO(), io.StringIO()
@@ -156,7 +160,24 @@ def test_solve_certificate_then_verify(tmp_path):
         str(tmp_path / "graph.txt"), str(mpath), str(cpath), out=out_io, err=err_io
     )
     assert code == EXIT_OK
+    assert "contractions replayed: 0" in out_io.getvalue()
     assert "maximality certified: yes" in out_io.getvalue()
+
+
+def test_verify_replays_contraction_lines(tmp_path):
+    # x lines stay part of the format even though solve no longer writes them
+    cert = reference_certificate(DEMO12, DEMO12_MATCHING)
+    (tmp_path / "g.txt").write_text(DEMO12_TEXT)
+    (tmp_path / "m.txt").write_text("m 1 2\nm 3 4\nm 5 6\nm 7 8\nm 9 10\n")
+    # DEMO12_TEXT keeps the fixture's ids, which are 1-based already
+    (tmp_path / "c.txt").write_text(format_certificate(cert.contractions, cert.cover))
+    out = io.StringIO()
+    code = run_verify(
+        *(str(tmp_path / name) for name in ("g.txt", "m.txt", "c.txt")), out=out, err=io.StringIO()
+    )
+    assert code == EXIT_OK
+    assert "contractions replayed: 2" in out.getvalue()
+    assert "maximality certified: yes" in out.getvalue()
 
 
 def test_certificates_without_contractions_round_trip(tmp_path):
@@ -235,14 +256,22 @@ def test_solve_under_python_optimize(tmp_path):
     src = Path(blossom.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     cycle = [(u + 1, v + 1) for u, v in INTERLEAVED_400]
+    g, m, c = (str(tmp_path / name) for name in ("g.txt", "m.txt", "c.txt"))
     for text, size in ((DEMO12_TEXT, 5), (dimacs(1601, cycle), 800)):
         (tmp_path / "g.txt").write_text(text)
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "blossom.cli", "solve", str(tmp_path / "g.txt")],
+            [sys.executable, "-O", "-m", "blossom.cli", "solve", g, "--certificate", c],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[0] == f"s {size}"
+        (tmp_path / "m.txt").write_text(done.stdout)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "blossom.cli", "verify", g, m, c],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "maximality certified: yes" in done.stdout
 
 
 def test_verify_single_edge_with_singleton_cover(tmp_path):

@@ -103,7 +103,7 @@ def test_cycle_segment():
 
 def test_splice_cycle_branches():
     # middle split, entered through the matching edge at the tail side
-    assert splice_cycle([3, 4, 5, 3], DEMO7_MATCHING, [1, 2], [6], DEMO7, 8) == [
+    assert splice_cycle([3, 4, 5, 3], DEMO7_MATCHING, [1, 2], [6], DEMO7) == [
         1,
         2,
         3,
@@ -113,9 +113,9 @@ def test_splice_cycle_branches():
     ]
     # empty head: start inside the cycle
     no_one = DEMO7 - {(1, 2)}
-    assert splice_cycle([3, 4, 5, 3], DEMO7_MATCHING, [], [6], no_one, 8) == [3, 4, 5, 6]
+    assert splice_cycle([3, 4, 5, 3], DEMO7_MATCHING, [], [6], no_one) == [3, 4, 5, 6]
     # empty tail mirrors the empty head
-    assert splice_cycle([3, 4, 5, 3], DEMO7_MATCHING, [6], [], DEMO7, 8) == [3, 4, 5, 6]
+    assert splice_cycle([3, 4, 5, 3], DEMO7_MATCHING, [6], [], DEMO7) == [3, 4, 5, 6]
 
 
 def test_lift_path():

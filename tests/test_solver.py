@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import blossom.assembly
+import blossom.contraction
 import blossom.forest
 from blossom import (
     InvariantViolation,
@@ -35,6 +37,7 @@ from support import (
     TAILED_TRIANGLE_MATCHING,
     TRIANGLE,
     random_graph,
+    random_matching,
     reference_maximum_matching,
 )
 
@@ -115,8 +118,12 @@ def test_blossom_heavy_structures():
 
 def test_certify_maximality():
     cert = certify_maximality(DEMO12, DEMO12_MATCHING)
-    assert cert is not None
-    report = verify_maximum(cert.final_graph, cert.final_matching, cert.cover)
+    assert cert is not None and cert.contractions == ()
+    # odd vertices 4, 8 and 10 as singletons, the outer blossoms whole
+    assert cert.cover == {
+        frozenset(s) for s in ({1, 2, 3}, {4}, {5, 6, 7}, {8}, {10})
+    }
+    report = verify_maximum(DEMO12, DEMO12_MATCHING, cert.cover)
     assert report.verdict
     replay, problems = verify_certificate(
         DEMO12, DEMO12_MATCHING, list(cert.contractions), cert.cover
@@ -222,25 +229,60 @@ def test_trace_records_use_the_search_layouts_and_input_ids():
         assert {int(t) for r in records for t in r.split() if t.isdigit()} <= vertices(g)
 
 
-def test_certify_searches_each_level_once(monkeypatch):
-    calls = []
-    original = blossom.forest.run_search
+def test_certify_agrees_with_bruteforce():
+    # None exactly when the matching is below the maximum size; otherwise
+    # the cover proves the matching maximum on the input graph itself
+    rng = random.Random(58)
+    outcomes = set()
+    for i in range(400):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]))
+        m = random_matching(rng, g) if i % 2 else find_maximum_matching(g)
+        cert = certify_maximality(g, m)
+        assert (cert is None) == (len(m) < len(brute_force_maximum_matching(g)))
+        if cert is not None:
+            assert cert.contractions == ()
+            assert verify_maximum(g, m, cert.cover).verdict
+        outcomes.add(cert is None)
+    assert outcomes == {True, False}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
 
+def test_certify_rejects_bad_matchings():
+    with pytest.raises(ValueError):
+        certify_maximality(PATH4, graph([(1, 2), (2, 3)]))
+    # (2, 3) is a free edge of the graph, yet the matching is checked first
+    with pytest.raises(ValueError):
+        certify_maximality(PATH4, graph([(1, 4)]))
+
+
+def test_solve_and_certify_never_run_the_spec_layer(monkeypatch):
+    # the paper-shaped search, assembly and contraction are the specification
+    # the engine is checked against, not part of the production path
+    def refuse(*args, **kwargs):
+        raise AssertionError("the production path ran the paper-shaped layer")
+
+    spec = (
+        blossom.forest.run_search,
+        blossom.assembly.find_path_or_blossom,
+        blossom.contraction.quotient_graph,
+    )
     patched = set()
     for name, module in list(sys.modules.items()):
-        if name.startswith("blossom.") and getattr(module, "run_search", None) is original:
-            monkeypatch.setattr(module, "run_search", counted)
-            patched.add(name)
-    assert "blossom.assembly" in patched
-    for g, m, levels in ((DEMO12, DEMO12_MATCHING, 3), (TAILED_TRIANGLE, TAILED_TRIANGLE_MATCHING, 2)):
-        calls.clear()
+        if name == "blossom" or name.startswith("blossom."):
+            for original in spec:
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, refuse)
+                    patched.add(f"{name}.{original.__name__}")
+    assert {
+        "blossom.assembly.run_search",
+        "blossom.solver.find_path_or_blossom",
+        "blossom.solver.quotient_graph",
+    } <= patched
+    for g in (DEMO12, TAILED_TRIANGLE, INTERLEAVED_400):
+        m = find_maximum_matching(g)
         cert = certify_maximality(g, m)
-        assert cert is not None and len(cert.contractions) == levels - 1
-        assert len(calls) == levels
+        assert cert is not None and cert.contractions == ()
+        report, problems = verify_certificate(g, m, list(cert.contractions), cert.cover)
+        assert report.verdict and not problems
 
 
 def test_engine_pointer_walks_stop_on_a_cycle():
