@@ -7,6 +7,11 @@
 # of the input graph directly: a singleton for each odd vertex, the whole
 # vertex set of each outer blossom, and a correction for matched vertices
 # no tree reached. Anyone holding only the graph can check it.
+#
+# Serialized, the certificate is one `s` line per odd set and nothing else:
+# the cover is a cover of the input graph, so there is no contraction
+# history for the verifier to replay first. (The file format still allows
+# `x` contraction lines ahead of the cover; `blossom verify` replays them.)
 
 from blossom import (
     certify_maximality,
@@ -38,6 +43,7 @@ print("serialized certificate:")
 print(text)
 
 steps, cover = parse_certificate(text)
+print(f"contractions to replay: {len(steps)}")
 report, problems = verify_certificate(g, m, steps, cover)
 print(f"cover valid on the input graph: {report.cover_ok}")
 print(f"cover capacity {report.capacity} == matching size {report.matching_size}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .contraction import is_blossom
-from .forest import Trace, run_search
+from .forest import run_search
 from .graph import Edge, vertices
 from .matching import is_augmenting_path
 
@@ -46,7 +46,7 @@ def longest_disjoint_prefixes(
 
 
 def find_path_or_blossom(
-    g: Iterable[Edge], matching: Iterable[Edge], *, trace: Trace | None = None
+    g: Iterable[Edge], matching: Iterable[Edge]
 ) -> AugmentingPath | FoundBlossom | None:
     """Find an augmenting path or a blossom, or None when neither exists.
 
@@ -66,7 +66,7 @@ def find_path_or_blossom(
         found = AugmentingPath([free[0], free[1]])
         assert is_augmenting_path(gset, mset, found.path)
         return found
-    paths = run_search(gset, mset, trace=trace).paths
+    paths = run_search(gset, mset).paths
     if paths is None:
         return None
     p1, p2 = paths

@@ -170,13 +170,13 @@ def format_certificate(
 
     One ``x`` line per contraction (fresh vertex, stem length, stem vertices,
     then cycle vertices including the repeated base), then one ``s`` line per
-    cover set; ``c`` lines are comments. ``offset`` is added to every vertex
-    id on output, so internal 0-based ids can be written 1-based.
+    cover set; ``c`` lines are comments, and the ``x`` layout comment is
+    written only when there are contractions. ``offset`` is added to every
+    vertex id on output, so internal 0-based ids can be written 1-based.
     """
-    lines = [
-        "c odd set cover for the graph reached after the listed contractions",
-        "c x <fresh> <stem length> <stem vertices> <cycle vertices>",
-    ]
+    lines = ["c odd set cover, one s line per odd vertex set"]
+    if contractions:
+        lines.append("c x <fresh> <stem length> <stem vertices> <cycle vertices>")
     for step in contractions:
         body = [step.fresh + offset, len(step.stem)]
         body += [v + offset for v in step.stem]

@@ -5,15 +5,16 @@ Graph files use the DIMACS edge dialect: ``c`` comment lines, one
 ``p edge <vertices> <edges>`` header, and ``e <u> <v>`` lines with 1-based
 vertex ids. Matchings are written as ``m <u> <v>`` lines preceded by an
 ``s <size>`` line. Vertex ids are 1-based in every file; internally they are
-shifted down by one.
+shifted down by one. Every input file is read, decoded and parsed by one
+loader, which reports a failure on one line naming the file (exit code 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import TextIO
+from collections.abc import Callable
+from typing import TextIO, TypeVar
 
 from .certificate import (
     format_certificate,
@@ -32,6 +33,8 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 EXIT_ORACLE_LIMIT = 4
 
+T = TypeVar("T")
+
 
 class GraphFormatError(ValueError):
     """A malformed input file, with the offending line number."""
@@ -41,26 +44,28 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class GraphFile:
-    """A parsed graph file: declared vertex and edge counts plus the edge
-    list with 1-based ids, duplicates collapsed, in file order."""
+def _endpoints(line_no: int, tokens: list[str], vertex_count: int) -> Edge:
+    """The 0-based edge named by an ``e`` or ``m`` line's two 1-based ids."""
+    if len(tokens) != 3:
+        raise GraphFormatError(line_no, f"expected '{tokens[0]} <u> <v>'")
+    try:
+        u, v = int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise GraphFormatError(line_no, "endpoints must be integers")
+    if u == v:
+        raise GraphFormatError(line_no, f"self-loop at vertex {u}")
+    if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+        raise GraphFormatError(line_no, f"vertex id out of range 1..{vertex_count}")
+    return edge(u - 1, v - 1)
 
-    vertex_count: int
-    edge_count: int
-    edges: tuple[tuple[int, int], ...]
 
-    def to_graph(self) -> frozenset[Edge]:
-        """The graph with internal 0-based vertex ids."""
-        return frozenset(edge(a - 1, b - 1) for a, b in self.edges)
-
-
-def parse_graph_file(text: str) -> GraphFile:
-    """Parse the DIMACS edge dialect, whitespace-tolerantly."""
+def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
+    """Parse the DIMACS edge dialect, whitespace-tolerantly, into the declared
+    vertex count and the graph with 0-based ids; duplicate edges collapse.
+    The declared edge count must be a non-negative integer and is otherwise
+    ignored."""
     vertex_count: int | None = None
-    edge_count = 0
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: set[Edge] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -72,43 +77,21 @@ def parse_graph_file(text: str) -> GraphFile:
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise GraphFormatError(line_no, "expected 'p edge <vertices> <edges>'")
             try:
-                vertex_count, edge_count = int(tokens[2]), int(tokens[3])
+                counts = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise GraphFormatError(line_no, "problem line counts must be integers")
-            if vertex_count < 0 or edge_count < 0:
+            if min(counts) < 0:
                 raise GraphFormatError(line_no, "problem line counts must not be negative")
+            vertex_count = counts[0]
         elif kind == "e":
             if vertex_count is None:
                 raise GraphFormatError(line_no, "edge line before the problem line")
-            if len(tokens) != 3:
-                raise GraphFormatError(line_no, "expected 'e <u> <v>'")
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise GraphFormatError(line_no, "edge endpoints must be integers")
-            if u == v:
-                raise GraphFormatError(line_no, f"self-loop at vertex {u}")
-            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise GraphFormatError(
-                    line_no, f"vertex id out of range 1..{vertex_count}"
-                )
-            pair = (u, v) if u < v else (v, u)
-            if pair not in seen:
-                seen.add(pair)
-                edges.append(pair)
+            edges.add(_endpoints(line_no, tokens, vertex_count))
         else:
             raise GraphFormatError(line_no, f"unknown line type {kind!r}")
     if vertex_count is None:
         raise GraphFormatError(0, "missing 'p edge' problem line")
-    return GraphFile(vertex_count, edge_count, tuple(edges))
-
-
-def format_graph_file(gf: GraphFile) -> str:
-    """Serialize a graph file; inverse of ``parse_graph_file`` for files whose
-    declared edge count matches the edge list."""
-    lines = [f"p edge {gf.vertex_count} {len(gf.edges)}"]
-    lines += [f"e {u} {v}" for u, v in gf.edges]
-    return "\n".join(lines) + "\n"
+    return vertex_count, frozenset(edges)
 
 
 def parse_matching_file(text: str, vertex_count: int) -> frozenset[Edge]:
@@ -119,33 +102,32 @@ def parse_matching_file(text: str, vertex_count: int) -> frozenset[Edge]:
         tokens = raw.split()
         if not tokens or tokens[0] in ("c", "s"):
             continue
-        if tokens[0] != "m" or len(tokens) != 3:
+        if tokens[0] != "m":
             raise GraphFormatError(line_no, "expected 'm <u> <v>'")
-        try:
-            u, v = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise GraphFormatError(line_no, "matched endpoints must be integers")
-        if u == v:
-            raise GraphFormatError(line_no, f"self-loop at vertex {u}")
-        if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-            raise GraphFormatError(line_no, f"vertex id out of range 1..{vertex_count}")
-        pairs.add(edge(u - 1, v - 1))
+        pairs.add(_endpoints(line_no, tokens, vertex_count))
     return frozenset(pairs)
+
+
+def _load(path: str, parse: Callable[[str], T], err: TextIO) -> T | None:
+    """Read, decode and parse one input file. A failure is reported on one
+    line naming the file, and gives None."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=err)
+        return None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        print(f"error: {path}: {exc}", file=err)
+        return None
 
 
 def _print_matching(matching: frozenset[Edge], out: TextIO) -> None:
     print(f"s {len(matching)}", file=out)
     for a, b in sorted(matching):
         print(f"m {a + 1} {b + 1}", file=out)
-
-
-def _read(path: str, err: TextIO) -> str | None:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=err)
-        return None
 
 
 def _internal_error(exc: Exception, err: TextIO) -> int:
@@ -174,15 +156,10 @@ def run_solve(
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    text = _read(graph_path, err)
-    if text is None:
+    loaded = _load(graph_path, parse_graph_file, err)
+    if loaded is None:
         return EXIT_PARSE
-    try:
-        gf = parse_graph_file(text)
-    except GraphFormatError as exc:
-        print(f"error: {graph_path}: {exc}", file=err)
-        return EXIT_PARSE
-    g = gf.to_graph()
+    _, g = loaded
     tracer = (lambda line: print(line, file=err)) if trace else None
     try:
         matching = find_maximum_matching(g, trace=tracer)
@@ -219,17 +196,13 @@ def run_verify(
     exception from the verifier ends in exit code 3 and one line of error."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    graph_text = _read(graph_path, err)
-    matching_text = _read(matching_path, err) if graph_text is not None else None
-    if graph_text is None or matching_text is None:
+    loaded = _load(graph_path, parse_graph_file, err)
+    if loaded is None:
         return EXIT_PARSE
-    try:
-        gf = parse_graph_file(graph_text)
-        matching = parse_matching_file(matching_text, gf.vertex_count)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=err)
+    vertex_count, g = loaded
+    matching = _load(matching_path, lambda text: parse_matching_file(text, vertex_count), err)
+    if matching is None:
         return EXIT_PARSE
-    g = gf.to_graph()
     matching_ok = is_matching(matching)
     subset_ok = matching <= g
     print(f"matching: {len(matching)} edges", file=out)
@@ -237,14 +210,10 @@ def run_verify(
     print(f"contained in the graph: {'yes' if subset_ok else 'no'}", file=out)
     ok = matching_ok and subset_ok
     if certificate_path is not None:
-        certificate_text = _read(certificate_path, err)
-        if certificate_text is None:
+        parsed = _load(certificate_path, lambda text: parse_certificate(text, offset=1), err)
+        if parsed is None:
             return EXIT_PARSE
-        try:
-            steps, cover = parse_certificate(certificate_text, offset=1)
-        except ValueError as exc:
-            print(f"error: {certificate_path}: {exc}", file=err)
-            return EXIT_PARSE
+        steps, cover = parsed
         try:
             report, problems = verify_certificate(g, matching, steps, cover)
         except Exception as exc:  # any failure of the verifier is an internal error
@@ -253,10 +222,9 @@ def run_verify(
         for problem in problems:
             print(f"certificate problem: {problem}", file=out)
         print(f"cover sets: {len(cover)}", file=out)
-        print(f"cover valid on final graph: {'yes' if report.cover_ok else 'no'}", file=out)
+        print(f"cover valid: {'yes' if report.cover_ok else 'no'}", file=out)
         print(
-            f"cover capacity {report.capacity} vs final matching size "
-            f"{report.matching_size}",
+            f"cover capacity {report.capacity} vs matching size {report.matching_size}",
             file=out,
         )
         certified = report.verdict and not problems
@@ -273,16 +241,12 @@ def run_oracle(
     form; refuses inputs beyond the exhaustive-search limits."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    text = _read(graph_path, err)
-    if text is None:
+    loaded = _load(graph_path, parse_graph_file, err)
+    if loaded is None:
         return EXIT_PARSE
+    _, g = loaded
     try:
-        gf = parse_graph_file(text)
-    except GraphFormatError as exc:
-        print(f"error: {graph_path}: {exc}", file=err)
-        return EXIT_PARSE
-    try:
-        matching = brute_force_maximum_matching(gf.to_graph())
+        matching = brute_force_maximum_matching(g)
     except OracleLimitError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ORACLE_LIMIT
@@ -325,7 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     oracle = sub.add_parser("oracle", help="solve small inputs by brute force")
     oracle.add_argument("graph", help="graph file in DIMACS edge format")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 1 (exit 2 means a failed check)
+        return EXIT_PARSE if exc.code else EXIT_OK
     if args.command == "solve":
         return run_solve(args.graph, args.certificate, args.trace)
     if args.command == "verify":

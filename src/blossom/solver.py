@@ -16,7 +16,7 @@ from .matching import is_matching
 
 
 def find_augmenting_path(
-    g: Iterable[Edge], matching: Iterable[Edge], *, trace: Trace | None = None
+    g: Iterable[Edge], matching: Iterable[Edge]
 ) -> list[int] | None:
     """An augmenting path for the matching, or None when none exists.
 
@@ -32,7 +32,7 @@ def find_augmenting_path(
     levels: list[tuple[frozenset[Edge], frozenset[Edge], list[int], int]] = []
     bound = 0
     while True:
-        found = find_path_or_blossom(cur_g, cur_m, trace=trace)
+        found = find_path_or_blossom(cur_g, cur_m)
         if not isinstance(found, FoundBlossom):
             break
         vs = vertices(cur_g)

@@ -14,9 +14,7 @@ from blossom.cli import (
     EXIT_ORACLE_LIMIT,
     EXIT_PARSE,
     EXIT_VERIFY,
-    GraphFile,
     GraphFormatError,
-    format_graph_file,
     main,
     parse_graph_file,
     parse_matching_file,
@@ -42,23 +40,24 @@ TRIANGLE_TEXT = dimacs(3, TRIANGLE)
 
 
 def test_parse_graph_file():
-    gf = parse_graph_file("p edge 2 1\ne 1 2\n")
-    assert gf.vertex_count == 2 and gf.edges == ((1, 2),)
-    assert gf.to_graph() == graph([(0, 1)])
+    assert parse_graph_file("p edge 2 1\ne 1 2\n") == (2, graph([(0, 1)]))
+    # the declared edge count is checked but not compared with the e lines
+    assert parse_graph_file("p edge 3 7\ne 1 2\n") == (3, graph([(0, 1)]))
 
 
 def test_parse_is_whitespace_tolerant_and_collapses_duplicates():
-    gf = parse_graph_file("c header\n\n  p   edge  4 3\ne 2 1\nc mid\ne 1   2\ne 3 4\n")
-    assert gf.vertex_count == 4
-    assert gf.edges == ((1, 2), (3, 4))
+    parsed = parse_graph_file("c header\n\n  p   edge  4 3\ne 2 1\nc mid\ne 1   2\ne 3 4\n")
+    assert parsed == (4, graph([(0, 1), (2, 3)]))
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as err:
         parse_graph_file("p edge 3 1\ne 3 3\n")
     assert err.value.line_no == 2 and "self-loop" in str(err.value)
-    with pytest.raises(GraphFormatError):
-        parse_graph_file("p edge x 1\n")
+    for text in ("p edge x 1\n", "p edge 2 x\n", "p edge 2 -1\n"):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph_file(text)
+        assert err.value.line_no == 1
     with pytest.raises(GraphFormatError):
         parse_graph_file("p edge 2 1\ne 1 5\n")
     with pytest.raises(GraphFormatError):
@@ -73,9 +72,8 @@ def test_graph_file_round_trip():
     rng = random.Random(71)
     for _ in range(100):
         n = rng.randint(0, 9)
-        edges = tuple(sorted(random_graph(rng, n, 0.5))) if n else ()
-        gf = GraphFile(n, len(edges), edges)
-        assert parse_graph_file(format_graph_file(gf)) == gf
+        g = random_graph(rng, n, 0.5) if n else frozenset()
+        assert parse_graph_file(dimacs(n, g)) == (n, graph((a - 1, b - 1) for a, b in g))
 
 
 def test_parse_matching_file():
@@ -359,3 +357,96 @@ def test_main_dispatch(tmp_path, capsys):
     assert main(["verify", str(gpath), str(mpath)]) == EXIT_OK
     capsys.readouterr()
     assert main(["solve", str(gpath), "--seed", "7"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [[], ["solve"], ["frob", "x"], ["solve", "g.txt", "--seed", "x"]])
+def test_usage_errors_exit_one(argv, capsys):
+    # exit 2 is reserved for a failed verification
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: blossom" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["verify", "--help"]) == EXIT_OK
+    assert "usage: blossom" in capsys.readouterr().out
+
+
+def _run(command, paths):
+    out, err = io.StringIO(), io.StringIO()
+    runner = {"solve": run_solve, "verify": run_verify, "oracle": run_oracle}[command]
+    code = runner(*(str(p) for p in paths), out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("solve", 0), ("oracle", 0), ("verify", 0), ("verify", 1), ("verify", 2)],
+)
+def test_non_utf8_input_is_one_line_naming_the_file(tmp_path, command, bad):
+    texts = [TRIANGLE_TEXT, "s 1\nm 1 2\n", "s 1 2 3\n"]
+    paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
+    for i, (path, text) in enumerate(zip(paths, texts)):
+        path.write_bytes(text.encode() + (b"c \xff\xfe\n" if i == bad else b""))
+    code, _, err = _run(command, paths if command == "verify" else paths[:1])
+    assert code == EXIT_PARSE
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {paths[bad]}: ")
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_verify_parse_errors_name_the_file(tmp_path, bad):
+    texts = [TRIANGLE_TEXT, "s 1\nm 1 2\n", "s 1 2 3\n"]
+    broken = ["p edge 3 1\ne 1 1\n", "s 1\nc two lines in\nm 1 9\n", "s 1 two\n"]
+    paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
+    for i, path in enumerate(paths):
+        path.write_text(broken[i] if i == bad else texts[i])
+    code, _, err = _run("verify", paths)
+    assert code == EXIT_PARSE
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {paths[bad]}: line ")
+
+
+def _mutate(rng: random.Random, text: str) -> bytes:
+    """One to three token drops, duplications or swaps, or stray bytes.
+    Tokens are split on single spaces, so line breaks stay attached to their
+    neighbours, and a drop or swap can also merge or split lines."""
+    data = text.encode()
+    for _ in range(rng.randint(1, 3)):
+        tokens = data.split(b" ")
+        kind = rng.randrange(4)
+        i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        if kind == 0:
+            del tokens[i]
+        elif kind == 1:
+            tokens.insert(i, tokens[i])
+        elif kind == 2:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        data = b" ".join(tokens)
+        if kind == 3:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.randbytes(rng.randint(1, 3)) + data[at:]
+    return data
+
+
+def test_fuzzed_inputs_never_escape(tmp_path):
+    code, matching_text, _, cpath = _solve(tmp_path, DEMO12_TEXT, certificate=True)
+    assert code == EXIT_OK
+    texts = [DEMO12_TEXT, matching_text, cpath.read_text()]
+    paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
+    rng = random.Random(73)
+    codes = set()
+    for trial in range(2000):
+        bad = trial % 3
+        for i, path in enumerate(paths):
+            path.write_bytes(_mutate(rng, texts[i]) if i == bad else texts[i].encode())
+        for command, args in (
+            ("solve", [paths[0], tmp_path / "out.txt"]),
+            ("verify", paths),
+        ):
+            code, _, err = _run(command, args)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_VERIFY), (trial, command, err)
+            assert len(err.splitlines()) <= 1, (trial, command, err)
+            codes.add(code)
+    assert codes == {EXIT_OK, EXIT_PARSE, EXIT_VERIFY}
