@@ -160,6 +160,15 @@ def verify_certificate(
     return report, problems
 
 
+def parse_natural(token: str) -> int:
+    """The value of a token of ASCII decimal digits. Raises ValueError for
+    anything else, including signs, underscores and non-ASCII digits that
+    ``int`` would take."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a natural number: {token!r}")
+    return int(token)
+
+
 def format_certificate(
     contractions: Sequence[ContractionStep],
     cover: Iterable[Iterable[int]],
@@ -191,7 +200,8 @@ def parse_certificate(
     text: str, *, offset: int = 0
 ) -> tuple[list[ContractionStep], frozenset[frozenset[int]]]:
     """Parse the certificate text format; ``offset`` is subtracted from every
-    vertex id on input. Raises ValueError with a line number on bad input."""
+    vertex id on input. Every field is a natural number in ASCII digits.
+    Raises ValueError with a line number on bad input."""
     contractions: list[ContractionStep] = []
     cover: set[frozenset[int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -200,9 +210,9 @@ def parse_certificate(
             continue
         kind = tokens[0]
         try:
-            numbers = [int(t) for t in tokens[1:]]
+            numbers = [parse_natural(t) for t in tokens[1:]]
         except ValueError as exc:
-            raise ValueError(f"line {line_no}: non-integer field") from exc
+            raise ValueError(f"line {line_no}: fields must be natural numbers") from exc
         if kind == "x":
             if len(numbers) < 2:
                 raise ValueError(f"line {line_no}: truncated contraction record")

@@ -4,8 +4,9 @@ and oracle subcommands.
 Graph files use the DIMACS edge dialect: ``c`` comment lines, one
 ``p edge <vertices> <edges>`` header, and ``e <u> <v>`` lines with 1-based
 vertex ids. Matchings are written as ``m <u> <v>`` lines preceded by an
-``s <size>`` line. Vertex ids are 1-based in every file; internally they are
-shifted down by one. Every input file is read, decoded and parsed by one
+``s <size>`` line. Every number is written in ASCII decimal digits, with no
+sign. Vertex ids are 1-based in every file; internally they are shifted
+down by one. Every input file is read, decoded and parsed by one
 loader, which reports a failure on one line naming the file (exit code 1).
 """
 
@@ -19,13 +20,13 @@ from typing import TextIO, TypeVar
 from .certificate import (
     format_certificate,
     parse_certificate,
+    parse_natural,
     verify_certificate,
 )
-from .forest import InvariantViolation
 from .graph import Edge, edge
 from .matching import is_matching
 from .oracle import OracleLimitError, brute_force_maximum_matching
-from .solver import certify_maximality, find_maximum_matching
+from .solver import _solve, find_maximum_matching
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -49,9 +50,9 @@ def _endpoints(line_no: int, tokens: list[str], vertex_count: int) -> Edge:
     if len(tokens) != 3:
         raise GraphFormatError(line_no, f"expected '{tokens[0]} <u> <v>'")
     try:
-        u, v = int(tokens[1]), int(tokens[2])
+        u, v = parse_natural(tokens[1]), parse_natural(tokens[2])
     except ValueError:
-        raise GraphFormatError(line_no, "endpoints must be integers")
+        raise GraphFormatError(line_no, "endpoints must be natural numbers")
     if u == v:
         raise GraphFormatError(line_no, f"self-loop at vertex {u}")
     if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
@@ -62,7 +63,7 @@ def _endpoints(line_no: int, tokens: list[str], vertex_count: int) -> Edge:
 def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
     """Parse the DIMACS edge dialect, whitespace-tolerantly, into the declared
     vertex count and the graph with 0-based ids; duplicate edges collapse.
-    The declared edge count must be a non-negative integer and is otherwise
+    The declared edge count must be a natural number and is otherwise
     ignored."""
     vertex_count: int | None = None
     edges: set[Edge] = set()
@@ -77,12 +78,10 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise GraphFormatError(line_no, "expected 'p edge <vertices> <edges>'")
             try:
-                counts = int(tokens[2]), int(tokens[3])
+                vertex_count = parse_natural(tokens[2])
+                parse_natural(tokens[3])
             except ValueError:
-                raise GraphFormatError(line_no, "problem line counts must be integers")
-            if min(counts) < 0:
-                raise GraphFormatError(line_no, "problem line counts must not be negative")
-            vertex_count = counts[0]
+                raise GraphFormatError(line_no, "problem line counts must be natural numbers")
         elif kind == "e":
             if vertex_count is None:
                 raise GraphFormatError(line_no, "edge line before the problem line")
@@ -146,12 +145,12 @@ def run_solve(
 ) -> int:
     """Solve a graph file and print the maximum matching in ``s``/``m`` form.
 
-    With a certificate path, one more engine phase runs from the final
-    matching and fails to augment it, and the odd set cover read off its
-    forest is written there: ``s`` lines only, a cover of the input graph
-    with no contraction history. With trace enabled, one
-    ``grow``, ``found`` or ``skip`` record per edge the solve examines goes
-    to standard error, with the input's vertex ids shifted to 0-based.
+    With a certificate path, the odd set cover read off the solve's last
+    phase, the one that failed to augment, is written there: ``s`` lines
+    only, a cover of the input graph with no contraction history. With
+    trace enabled, one ``grow``, ``found`` or ``skip`` record per edge the
+    solve examines goes to standard error, with the input's vertex ids
+    shifted to 0-based.
     Any unexpected exception ends in exit code 3 and one line of error.
     """
     out = out if out is not None else sys.stdout
@@ -161,16 +160,13 @@ def run_solve(
         return EXIT_PARSE
     _, g = loaded
     tracer = (lambda line: print(line, file=err)) if trace else None
+    certificate_text = None
     try:
-        matching = find_maximum_matching(g, trace=tracer)
-        certificate_text = None
-        if certificate_path is not None:
-            certificate = certify_maximality(g, matching)
-            if certificate is None:
-                raise InvariantViolation("computed matching admits an augmenting path")
-            certificate_text = format_certificate(
-                certificate.contractions, certificate.cover, offset=1
-            )
+        if certificate_path is None:
+            matching = find_maximum_matching(g, trace=tracer)
+        else:
+            matching, certificate = _solve(g, tracer)
+            certificate_text = format_certificate((), certificate().cover, offset=1)
     except Exception as exc:  # any failure of the solver is an internal error
         return _internal_error(exc, err)
     _print_matching(matching, out)
@@ -192,8 +188,10 @@ def run_verify(
     err: TextIO | None = None,
 ) -> int:
     """Check a matching file against a graph file, and optionally a
-    certificate of maximality; prints a human-readable report. An unexpected
-    exception from the verifier ends in exit code 3 and one line of error."""
+    certificate of maximality; prints a human-readable report. Every file is
+    loaded before the report starts, so a file that fails to load leaves
+    standard output empty. An unexpected exception from the verifier ends in
+    exit code 3 and one line of error."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     loaded = _load(graph_path, parse_graph_file, err)
@@ -203,16 +201,18 @@ def run_verify(
     matching = _load(matching_path, lambda text: parse_matching_file(text, vertex_count), err)
     if matching is None:
         return EXIT_PARSE
+    parsed = None
+    if certificate_path is not None:
+        parsed = _load(certificate_path, lambda text: parse_certificate(text, offset=1), err)
+        if parsed is None:
+            return EXIT_PARSE
     matching_ok = is_matching(matching)
     subset_ok = matching <= g
     print(f"matching: {len(matching)} edges", file=out)
     print(f"pairwise vertex-disjoint: {'yes' if matching_ok else 'no'}", file=out)
     print(f"contained in the graph: {'yes' if subset_ok else 'no'}", file=out)
     ok = matching_ok and subset_ok
-    if certificate_path is not None:
-        parsed = _load(certificate_path, lambda text: parse_certificate(text, offset=1), err)
-        if parsed is None:
-            return EXIT_PARSE
+    if parsed is not None:
         steps, cover = parsed
         try:
             report, problems = verify_certificate(g, matching, steps, cover)

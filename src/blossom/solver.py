@@ -5,7 +5,8 @@ that ``find_augmenting_path`` runs."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import partial
 
 from .assembly import FoundBlossom, find_path_or_blossom
 from .certificate import MaximalityCertificate
@@ -62,14 +63,25 @@ def find_maximum_matching(
 
     The vertices are renumbered 0..n-1 in sorted order once, and a greedy
     matching is grown first. Each phase then grows one alternating forest
-    rooted at every unmatched vertex, in sorted order, and augments along
-    the first examined edge that joins two of its trees. A blossom closed on
-    the way is contracted in place, by relabelling the base of its vertices.
-    The solve ends after the first phase that does not augment. ``trace``
-    receives one record per examined edge, in the layouts ``run_search``
-    uses and with the input's vertex ids.
+    rooted at every unmatched vertex, in sorted order. An examined edge that
+    joins two live trees augments the matching along their root paths, and
+    both trees are dead for the rest of the phase, so one phase augments
+    along many vertex-disjoint paths. A blossom closed on the way is
+    contracted in place, by relabelling the base of its vertices. The solve
+    ends after the first phase that does not augment. ``trace`` receives one
+    record per examined edge, in the layouts ``run_search`` uses and with
+    the input's vertex ids.
     """
-    gset, ids, _, adj = _renumber(g)
+    return _solve(g, trace)[0]
+
+
+def _solve(
+    g: Iterable[Edge], trace: Trace | None
+) -> tuple[frozenset[Edge], Callable[[], MaximalityCertificate]]:
+    """``find_maximum_matching``'s matching, and a function that reads its
+    certificate off the solve's last phase, the one that failed to
+    augment."""
+    gset, ids, index, adj = _renumber(g)
     n = len(ids)
     mate = [-1] * n
     for v in range(n):
@@ -79,14 +91,15 @@ def find_maximum_matching(
                     mate[v], mate[w] = w, v
                     break
     for _ in range(n // 2 + 1):
-        if _augment_phase(adj, mate, ids, trace) is not None:
+        forest = _augment_phase(adj, mate, ids, trace)
+        if forest is not None:
             break
     else:
         raise InvariantViolation("augmentation loop failed to terminate")
     matching = frozenset((ids[v], ids[w]) for v, w in enumerate(mate) if v < w)
     if any(w >= 0 and mate[w] != v for v, w in enumerate(mate)) or not matching <= gset:
         raise InvariantViolation("the computed edge set is not a matching inside the graph")
-    return matching
+    return matching, partial(_certificate, matching, ids, index, *forest)
 
 
 def _renumber(
@@ -111,62 +124,90 @@ def _augment_phase(
     adj: list[list[int]], mate: list[int], ids: list[int], trace: Trace | None
 ) -> tuple[list[int], list[int]] | None:
     """Grow one alternating forest from every unmatched vertex, contracting
-    each blossom that closes, and augment along the first edge that joins
-    two of its trees. Returns None when the matching grew, and otherwise
-    the final ``label`` and ``base`` arrays of the forest.
+    each blossom that closes. An edge that joins two live trees augments
+    along their root paths and kills both trees: their vertices are no
+    longer scanned and edges into them are skipped, while the rest of the
+    forest keeps growing. Returns None when the matching grew, and otherwise
+    the final ``label`` and ``base`` arrays of the forest, which then has no
+    dead tree.
 
     ``parent[x]`` is the vertex an odd vertex was entered from. Contracting
     a blossom also sets it on the blossom's even vertices, pointing across
     the cycle, so that from any even vertex x the walk x, mate[x],
     parent[mate[x]], mate[...], ... is an alternating path to its root.
+    ``root[x]`` is the root of an even vertex's tree, and ``dead`` holds
+    the roots of the trees that augmented. ``members[b]`` lists the
+    vertices whose base is ``b`` once ``b`` has absorbed a blossom, so that
+    a contraction relabels only the vertices it absorbs.
     """
     n = len(adj)
     label = [0] * n
     parent = [-1] * n
     base = list(range(n))
+    root = base[:]
+    dead: set[int] = set()
+    members: dict[int, list[int]] = {}
     queue = [v for v in range(n) if mate[v] < 0]
     for v in queue:
         label[v] = EVEN
     # The loop also visits the even vertices appended while it runs.
     for v in queue:
+        r = root[v]
+        if dead and r in dead:
+            continue
         for w in adj[v]:
-            if base[v] == base[w] or label[w] == ODD:
+            # An unlabelled vertex is its own root, which is never dead.
+            if base[v] == base[w] or label[w] == ODD or dead and root[w] in dead:
                 if trace is not None:
                     trace(f"skip {ids[v]} {ids[w]}")
             elif label[w] == 0:
                 x = mate[w]
                 label[w], label[x] = ODD, EVEN
                 parent[w] = v
+                root[x] = r
                 queue.append(x)
                 if trace is not None:
-                    r = ids[_bases_to_root(v, base, parent, mate)[-1]]
                     v1, v2, v3 = ids[v], ids[w], ids[x]
                     trace(
-                        f"grow {v1} {v2} label {v2} odd {r} label {v3} even {r} "
+                        f"grow {v1} {v2} label {v2} odd {ids[r]} label {v3} even {ids[r]} "
                         f"parent {v2} {v1} parent {v3} {v2}"
                     )
+            elif root[w] != r:
+                if trace is not None:
+                    trace(f"found {ids[v]} {ids[w]}")
+                _flip_to_root(v, parent, mate)
+                _flip_to_root(w, parent, mate)
+                mate[v], mate[w] = w, v
+                dead.update((r, root[w]))
+                break
             else:
                 if trace is not None:
                     trace(f"found {ids[v]} {ids[w]}")
-                to_v = _bases_to_root(v, base, parent, mate)
-                to_w = _bases_to_root(w, base, parent, mate)
-                if to_v[-1] != to_w[-1]:
-                    _flip_to_root(v, parent, mate)
-                    _flip_to_root(w, parent, mate)
-                    mate[v], mate[w] = w, v
-                    return None
-                on_v = set(to_v)
-                b = next(x for x in to_w if x in on_v)
+                on_v = set(_bases_to_root(v, base, parent, mate))
+                b = next(x for x in _bases_to_root(w, base, parent, mate) if x in on_v)
                 bases: set[int] = set()
                 _link_blossom_path(v, w, b, base, parent, mate, bases)
                 _link_blossom_path(w, v, b, base, parent, mate, bases)
-                for i in range(n):
-                    if base[i] in bases:
-                        base[i] = b
-                        if label[i] == ODD:
-                            label[i] = EVEN
-                            queue.append(i)
-    return label, base
+                group = members.setdefault(b, [b])
+                odd = []
+                for a in bases:
+                    if a in members:
+                        absorbed = members.pop(a)
+                        group += absorbed
+                        for i in absorbed:
+                            base[i] = b
+                    else:
+                        # Only a base that absorbed nothing can be odd.
+                        base[a] = b
+                        group.append(a)
+                        if label[a] == ODD:
+                            odd.append(a)
+                # The odd vertices become even and are scanned, in index order.
+                odd.sort()
+                for i in odd:
+                    label[i], root[i] = EVEN, r
+                queue += odd
+    return None if dead else (label, base)
 
 
 def _bases_to_root(
@@ -227,10 +268,8 @@ def certify_maximality(
     g: Iterable[Edge], matching: Iterable[Edge]
 ) -> MaximalityCertificate | None:
     """An odd set cover of the input graph with capacity equal to the
-    matching's size, read off one engine phase that fails to augment it:
-    a singleton per odd vertex, the vertex set of each outer blossom (even
-    vertices sharing a base, more than one), and ``leftover_cover``'s sets
-    for the matched vertices no tree reached. No contractions are recorded.
+    matching's size, read off one engine phase that fails to augment it
+    (see ``_certificate``). No contractions are recorded.
 
     None when the phase augments: the matching is not maximum. Raises
     ValueError when the edge set is not a matching inside the graph.
@@ -247,12 +286,28 @@ def certify_maximality(
     forest = _augment_phase(adj, mate, ids, None)
     if forest is None:
         return None
-    label, base = forest
+    return _certificate(mset, ids, index, *forest)
+
+
+def _certificate(
+    matching: frozenset[Edge],
+    ids: list[int],
+    index: dict[int, int],
+    label: list[int],
+    base: list[int],
+) -> MaximalityCertificate:
+    """The odd set cover read off the forest of a phase that failed to
+    augment ``matching``, given the input ids in sorted order, the index of
+    each, and the forest's final ``label`` and ``base`` arrays over those
+    indices: a singleton per odd vertex, the vertex set of each outer
+    blossom (even vertices sharing a base, more than one), and
+    ``leftover_cover``'s sets for the matched vertices no tree reached. No
+    contractions are recorded."""
     cover = [frozenset((ids[v],)) for v, lab in enumerate(label) if lab == ODD]
     blossoms: dict[int, list[int]] = {}
     for v, lab in enumerate(label):
         if lab == EVEN:
             blossoms.setdefault(base[v], []).append(ids[v])
     cover += [frozenset(vs) for vs in blossoms.values() if len(vs) > 1]
-    cover += leftover_cover(sorted(e for e in mset if not label[index[e[0]]]))
+    cover += leftover_cover(sorted(e for e in matching if not label[index[e[0]]]))
     return MaximalityCertificate((), frozenset(cover))

@@ -6,6 +6,7 @@ import itertools
 import random
 from collections.abc import Iterable
 
+import blossom.solver
 from blossom import (
     ContractionMap,
     ContractionStep,
@@ -169,6 +170,207 @@ def dimacs(n: int, edges) -> str:
     lines = [f"p edge {n} {len(edges)}"]
     lines += [f"e {u} {v}" for u, v in sorted(edges)]
     return "\n".join(lines) + "\n"
+
+
+def sparse_graph(rng: random.Random, n: int, degree: int) -> frozenset:
+    """``n * degree // 2`` distinct uniform random edges on the vertices
+    0..n-1, for an average degree of ``degree``."""
+    edges: set[Edge] = set()
+    while len(edges) < n * degree // 2:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            edges.add(edge(a, b))
+    return frozenset(edges)
+
+
+def count_phases(monkeypatch) -> list:
+    """Wrap the engine's phase for the rest of the test; the returned list
+    gets one entry per phase run."""
+    calls: list = []
+    original = blossom.solver._augment_phase
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(blossom.solver, "_augment_phase", counting)
+    return calls
+
+
+class PlantedInstance:
+    """A graph grown around a planted matching, piece by piece; the
+    adversarial cases for the engine's dead trees and member lists are
+    built from it.
+
+    ``layout`` numbers the vertices so that the engine's greedy start, which
+    matches each vertex in sorted order to its first unmatched neighbour,
+    picks exactly the planted pairs: each pair takes two consecutive ids and
+    the free vertices, pairwise non-adjacent, come last. The first engine
+    phase then starts from the planted matching.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.size = 0
+        self.edges: list[Edge] = []
+        self.pairs: list[Edge] = []
+        self.free: list[int] = []
+
+    def vertex(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def root(self) -> int:
+        r = self.vertex()
+        self.free.append(r)
+        return r
+
+    def match(self, a: int, b: int) -> None:
+        self.pairs.append((a, b))
+        self.edges.append((a, b))
+
+    def stem(self, top: int, length: int) -> int:
+        """A new free root joined to the unmatched vertex ``top`` by an
+        alternating path of ``length`` matched edges, the last one on
+        ``top``; with length 0 ``top`` is the root."""
+        if not length:
+            self.free.append(top)
+            return top
+        prev = root = self.root()
+        for i in range(length):
+            a = self.vertex()
+            b = top if i == length - 1 else self.vertex()
+            self.edges.append((prev, a))
+            self.match(a, b)
+            prev = b
+        return root
+
+    def blossom(self, depth: int) -> tuple[int, list[int]]:
+        """A blossom nested ``depth`` deep, as its unmatched base and its
+        vertices. Each level is an odd cycle of 3, 5 or 7 around a new base
+        in which one vertex is the blossom of the level below: its base
+        takes that vertex's matched edge, and a random vertex of it takes
+        the unmatched cycle edge."""
+        base = self.vertex()
+        members = [base]
+        for _ in range(depth):
+            inner_base, inner = base, members
+            base = self.vertex()
+            slots = 2 * self.rng.randint(1, 3)
+            hole = self.rng.randrange(slots)
+            ring = [base] + [-1 if i == hole else self.vertex() for i in range(slots)]
+            for i in range(1, slots, 2):
+                a, b = ring[i], ring[i + 1]
+                self.match(inner_base if a < 0 else a, inner_base if b < 0 else b)
+            for i in range(0, slots + 1, 2):
+                a, b = ring[i], ring[(i + 1) % (slots + 1)]
+                a = self.rng.choice(inner) if a < 0 else a
+                b = self.rng.choice(inner) if b < 0 else b
+                self.edges.append((a, b))
+            members = inner + [v for v in ring if v >= 0]
+        return base, members
+
+    def pendant(self, vertices: list[int]) -> None:
+        """A new free vertex joined to a random matched one of ``vertices``."""
+        matched = [v for v in vertices if v not in self.free]
+        self.edges.append((self.root(), self.rng.choice(matched)))
+
+    def chords(self, count: int, vertices: list[int]) -> None:
+        """``count`` random edges between the matched ``vertices``."""
+        matched = [v for v in vertices if v not in self.free]
+        for _ in range(count if len(matched) > 1 else 0):
+            self.edges.append(tuple(self.rng.sample(matched, 2)))
+
+    def layout(self) -> tuple[frozenset, frozenset]:
+        """The graph and the planted matching, in 1-based ids."""
+        pairs = list(self.pairs)
+        self.rng.shuffle(pairs)
+        order = [v for a, b in pairs for v in self.rng.sample((a, b), 2)]
+        free = list(self.free)
+        self.rng.shuffle(free)
+        ids = {v: i for i, v in enumerate(order + free, start=1)}
+        g = graph((ids[a], ids[b]) for a, b in self.edges)
+        on_free = set(free)
+        assert not any(a in on_free and b in on_free for a, b in self.edges)
+        assert len(ids) == self.size
+        return g, graph((ids[a], ids[b]) for a, b in pairs)
+
+
+def nested_blossoms(
+    rng: random.Random, depth: int, stem: int, pendant: bool, chords: int = 0
+) -> tuple[frozenset, frozenset, int]:
+    """A blossom nested ``depth`` deep at the end of a stem of ``stem``
+    matched edges from a free root, ``chords`` random edges inside, and with
+    ``pendant`` a free vertex on a random blossom vertex, which opens an
+    augmenting path through every level. The graph, the planted matching
+    and the maximum matching size."""
+    built = PlantedInstance(rng)
+    base, members = built.blossom(depth)
+    built.stem(base, stem)
+    if pendant:
+        built.pendant(members)
+    built.chords(chords, members)
+    g, m = built.layout()
+    return g, m, len(m) + pendant
+
+
+def augmenting_gadgets(
+    rng: random.Random, count: int, cross: int = 0
+) -> tuple[frozenset, frozenset, int]:
+    """``count`` small gadgets, each two free vertices joined by one
+    augmenting path of up to 7 edges, some through a triangle whose base is
+    on the path, and ``cross`` random edges between matched vertices of
+    different gadgets. Without cross edges one engine phase augments every
+    gadget. The graph, the planted matching and the maximum matching size:
+    a perfect matching."""
+    built = PlantedInstance(rng)
+    gadgets: list[list[int]] = []
+    for _ in range(count):
+        first = len(built.pairs)
+        if rng.random() < 0.5:
+            end = built.vertex()
+            built.stem(end, rng.randint(1, 3))
+            built.pendant([end])
+        else:
+            base, members = built.blossom(1)
+            built.stem(base, rng.randint(1, 2))
+            built.pendant([v for v in members if v != base])
+        gadgets.append([v for e in built.pairs[first:] for v in e])
+    for _ in range(cross if count > 1 else 0):
+        one, other = rng.sample(gadgets, 2)
+        built.edges.append((rng.choice(one), rng.choice(other)))
+    g, m = built.layout()
+    return g, m, len(m) + count
+
+
+def absorbed_blossom(
+    rng: random.Random, depth: int, arm: int, pendant: bool
+) -> tuple[frozenset, frozenset, int]:
+    """A blossom that absorbs a larger one: a free root r, its matched
+    neighbour's partner the base of a blossom nested ``depth`` deep, and an
+    arm of ``arm`` matched edges from r whose end closes an odd cycle
+    through r at a random vertex of that blossom. The cycle's base is r,
+    whose own group is r alone. With ``pendant`` a free vertex hangs off a
+    random vertex of the cycle. The graph, the planted matching and the
+    maximum matching size."""
+    built = PlantedInstance(rng)
+    inner_base, inner = built.blossom(depth)
+    r = built.root()
+    y = built.vertex()
+    built.edges.append((r, y))
+    built.match(y, inner_base)
+    prev, arm_vertices = r, []
+    for _ in range(arm):
+        a, b = built.vertex(), built.vertex()
+        built.edges.append((prev, a))
+        built.match(a, b)
+        arm_vertices += [a, b]
+        prev = b
+    built.edges.append((prev, rng.choice(inner)))
+    if pendant:
+        built.pendant(inner + arm_vertices + [y])
+    g, m = built.layout()
+    return g, m, len(m) + pendant
 
 
 def reference_maximum_matching(g) -> frozenset:

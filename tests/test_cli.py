@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import blossom
-from blossom import format_certificate, graph
+from blossom import (
+    certify_maximality,
+    find_maximum_matching,
+    format_certificate,
+    graph,
+    parse_certificate,
+)
 from blossom.cli import (
     EXIT_OK,
     EXIT_ORACLE_LIMIT,
@@ -28,10 +34,12 @@ from support import (
     DEMO12_MATCHING,
     INTERLEAVED_400,
     TRIANGLE,
+    count_phases,
     dimacs,
     k_pairs,
     random_graph,
     reference_certificate,
+    sparse_graph,
 )
 
 DEMO12_TEXT = dimacs(12, DEMO12)
@@ -85,6 +93,25 @@ def test_parse_matching_file():
         parse_matching_file("m 1 9\n", 3)
     with pytest.raises(GraphFormatError):
         parse_matching_file("match 1 2\n", 3)
+
+
+# Each is a number to Python's int() but not a natural number in ASCII digits.
+NOT_ASCII_DIGITS = ["1_0", "+1", "-0", "\uff13", "\u0663", "\u00b2"]
+
+
+def test_numbers_are_ascii_digits_only():
+    with pytest.raises(GraphFormatError):
+        parse_graph_file("p edge 1_0 0\ne \uff13 +1\n")
+    for token in NOT_ASCII_DIGITS:
+        for text in (f"p edge {token} 0\n", f"p edge 20 {token}\n", f"p edge 20 1\ne {token} 2\n"):
+            with pytest.raises(GraphFormatError):
+                parse_graph_file(text)
+        for text in (f"m {token} 2\n", f"s 1\nm 2 {token}\n"):
+            with pytest.raises(GraphFormatError):
+                parse_matching_file(text, 20)
+        for text in (f"s 1 {token} 3\n", f"x {token} 0 1 2 3 1\n", f"x 9 {token} 1 2 3 1\n"):
+            with pytest.raises(ValueError):
+                parse_certificate(text, offset=1)
 
 
 def _solve(tmp_path, text, *, certificate=False, trace=False):
@@ -160,6 +187,23 @@ def test_solve_certificate_then_verify(tmp_path):
     assert code == EXIT_OK
     assert "contractions replayed: 0" in out_io.getvalue()
     assert "maximality certified: yes" in out_io.getvalue()
+
+
+def test_solve_certificate_reads_the_last_phase_once(tmp_path, monkeypatch):
+    calls = count_phases(monkeypatch)
+    sparse = sparse_graph(random.Random(72), 300, 3)
+    for text in (DEMO12_TEXT, dimacs(300, {(a + 1, b + 1) for a, b in sparse})):
+        _, g = parse_graph_file(text)
+        calls.clear()
+        m = find_maximum_matching(g)
+        solve_phases = len(calls)
+        calls.clear()
+        code, out, _, cpath = _solve(tmp_path, text, certificate=True)
+        assert code == EXIT_OK
+        assert len(calls) == solve_phases
+        assert out.splitlines()[0] == f"s {len(m)}"
+        cert = certify_maximality(g, m)
+        assert cpath.read_text() == format_certificate(cert.contractions, cert.cover, offset=1)
 
 
 def test_verify_replays_contraction_lines(tmp_path):
@@ -389,8 +433,9 @@ def test_non_utf8_input_is_one_line_naming_the_file(tmp_path, command, bad):
     paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
     for i, (path, text) in enumerate(zip(paths, texts)):
         path.write_bytes(text.encode() + (b"c \xff\xfe\n" if i == bad else b""))
-    code, _, err = _run(command, paths if command == "verify" else paths[:1])
+    code, out, err = _run(command, paths if command == "verify" else paths[:1])
     assert code == EXIT_PARSE
+    assert out == ""  # nothing is reported before every file has loaded
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot read {paths[bad]}: ")
 
@@ -402,8 +447,9 @@ def test_verify_parse_errors_name_the_file(tmp_path, bad):
     paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
     for i, path in enumerate(paths):
         path.write_text(broken[i] if i == bad else texts[i])
-    code, _, err = _run("verify", paths)
+    code, out, err = _run("verify", paths)
     assert code == EXIT_PARSE
+    assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {paths[bad]}: line ")
 

@@ -36,9 +36,14 @@ from support import (
     TAILED_TRIANGLE,
     TAILED_TRIANGLE_MATCHING,
     TRIANGLE,
+    absorbed_blossom,
+    augmenting_gadgets,
+    count_phases,
+    nested_blossoms,
     random_graph,
     random_matching,
     reference_maximum_matching,
+    sparse_graph,
 )
 
 
@@ -294,3 +299,56 @@ def test_engine_pointer_walks_stop_on_a_cycle():
         _flip_to_root(0, parent, list(mate))
     with pytest.raises(InvariantViolation):
         _link_blossom_path(0, 1, 2, base, parent, mate, set())
+
+
+@pytest.fixture
+def phases(monkeypatch) -> list:
+    return count_phases(monkeypatch)
+
+
+def check_planted(g, planted, size) -> None:
+    """The engine's matching has the planted instance's maximum size and a
+    certificate, the planted matching is certified exactly when it is
+    maximum, and the brute-force oracle agrees when the graph is small."""
+    m = find_maximum_matching(g)
+    assert is_matching(m) and m <= g
+    assert len(m) == size
+    assert certified(g, m)
+    assert (certify_maximality(g, planted) is None) == (len(planted) < size)
+    if len(vertices(g)) <= 16 and len(g) <= 24:
+        assert len(brute_force_maximum_matching(g)) == size
+
+
+def test_nested_blossoms_with_long_stems():
+    rng = random.Random(59)
+    for i in range(200):
+        depth, stem = rng.randint(1, 8), rng.choice([0, 1, 2, rng.randint(3, 60)])
+        check_planted(*nested_blossoms(rng, depth, stem, i % 2 == 1, rng.randint(0, 3)))
+
+
+def test_many_small_trees_augment_in_one_phase(phases):
+    rng = random.Random(60)
+    for _ in range(100):
+        count = rng.randint(1, 40)
+        g, planted, size = augmenting_gadgets(rng, count)
+        phases.clear()
+        find_maximum_matching(g)
+        # the first phase augments every gadget, the second finds nothing
+        assert len(phases) == 2
+        check_planted(g, planted, size)
+        check_planted(*augmenting_gadgets(rng, count, cross=rng.randint(1, count)))
+
+
+def test_a_blossom_absorbs_a_larger_blossom():
+    rng = random.Random(61)
+    for i in range(200):
+        depth, arm = rng.randint(1, 6), rng.randint(0, 6)
+        check_planted(*absorbed_blossom(rng, depth, arm, i % 2 == 1))
+
+
+def test_sparse_graph_solves_in_few_phases(phases):
+    # one phase per augmentation took 300 phases here
+    g = sparse_graph(random.Random(62), 4000, 3)
+    m = find_maximum_matching(g)
+    assert len(phases) <= 15
+    assert certified(g, m)
