@@ -43,18 +43,31 @@ def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
     sets = [frozenset(s) for s in cover]
     if any(len(s) % 2 == 0 for s in sets):
         return False
-    # Singletons cover by one endpoint; a larger set must hold both, and
+    # Singletons cover by one endpoint; a larger set must hold both. The
+    # engine's larger sets are disjoint, so each vertex has one owner, but
     # parsed covers may hold a vertex in several larger sets.
     singletons = {v for s in sets if len(s) == 1 for v in s}
-    larger: dict[int, list[frozenset[int]]] = {}
-    for s in sets:
+    owner: dict[int, int] = {}
+    overlap = False
+    for k, s in enumerate(sets):
         if len(s) > 1:
             for v in s:
-                larger.setdefault(v, []).append(s)
-    return all(
-        a in singletons or b in singletons or any(b in s for s in larger.get(a, ()))
-        for a, b in g
-    )
+                if owner.setdefault(v, k) != k:
+                    overlap = True
+    if overlap:
+        larger: dict[int, list[frozenset[int]]] = {}
+        for s in sets:
+            if len(s) > 1:
+                for v in s:
+                    larger.setdefault(v, []).append(s)
+        return all(
+            a in singletons or b in singletons or any(b in s for s in larger.get(a, ()))
+            for a, b in g
+        )
+    for a, b in g:
+        if not (a in singletons or b in singletons or owner.get(a, -1) == owner.get(b, -2)):
+            return False
+    return True
 
 
 def cover_capacity(cover: Iterable[Iterable[int]]) -> int:

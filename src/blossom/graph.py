@@ -22,12 +22,24 @@ def edge(u: int, v: int) -> Edge:
 
 
 def graph(pairs: Iterable[Iterable[int]]) -> frozenset[Edge]:
-    """Build a graph from vertex pairs, canonicalising every edge."""
-    out = set()
-    for pair in pairs:
-        a, b = pair
-        out.add(edge(a, b))
-    return frozenset(out)
+    """Build a graph from vertex pairs, canonicalising every edge. A
+    frozenset of ``(a, b)`` tuples with ``a < b`` throughout is already
+    canonical and is returned as it is."""
+    if type(pairs) is frozenset and _is_canonical(pairs):
+        return pairs
+    # ``edge`` runs only on a self-loop, to raise its error.
+    return frozenset([edge(a, b) if a == b else (a, b) if a < b else (b, a) for a, b in pairs])
+
+
+def _is_canonical(pairs: frozenset) -> bool:
+    """Whether every member is a ``(a, b)`` tuple with ``a < b``."""
+    for e in pairs:
+        if type(e) is not tuple:
+            return False
+        a, b = e
+        if not a < b:
+            return False
+    return True
 
 
 def vertices(g: Iterable[Edge]) -> set[int]:

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import partial
+from itertools import chain
 
 from .assembly import FoundBlossom, find_path_or_blossom
 from .certificate import MaximalityCertificate
 from .contraction import ContractionMap, fresh_vertex, lift_path, quotient_graph
 from .forest import InvariantViolation, Trace, leftover_cover
 from .graph import Edge, graph, vertices
-from .matching import is_matching
 
 
 def find_augmenting_path(
@@ -81,7 +81,7 @@ def _solve(
     """``find_maximum_matching``'s matching, and a function that reads its
     certificate off the solve's last phase, the one that failed to
     augment."""
-    gset, ids, index, adj = _renumber(g)
+    gset, ids, _, adj = _renumber(g)
     n = len(ids)
     mate = [-1] * n
     for v in range(n):
@@ -99,22 +99,30 @@ def _solve(
     matching = frozenset((ids[v], ids[w]) for v, w in enumerate(mate) if v < w)
     if any(w >= 0 and mate[w] != v for v, w in enumerate(mate)) or not matching <= gset:
         raise InvariantViolation("the computed edge set is not a matching inside the graph")
-    return matching, partial(_certificate, matching, ids, index, *forest)
+    return matching, partial(_certificate, mate, ids, *forest)
 
 
 def _renumber(
     g: Iterable[Edge],
-) -> tuple[frozenset[Edge], list[int], dict[int, int], list[list[int]]]:
+) -> tuple[frozenset[Edge], list[int], dict[int, int] | range, list[list[int]]]:
     """The graph's canonical edge set, its vertex ids in sorted order, the
     index 0..n-1 of each id in that order, and the sorted adjacency lists
-    over the indices."""
+    over the indices. When the ids are exactly 0..n-1 each is its own index,
+    and the index is ``range(n)``."""
     gset = graph(g)
-    ids = sorted({v for e in gset for v in e})
-    index = {v: i for i, v in enumerate(ids)}
+    ids = sorted(set(chain.from_iterable(gset)))
+    n = len(ids)
     adj: list[list[int]] = [[] for _ in ids]
-    for a, b in gset:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
+    if not n or ids[0] == 0 and ids[-1] == n - 1:
+        index: dict[int, int] | range = range(n)
+        for a, b in gset:
+            adj[a].append(b)
+            adj[b].append(a)
+    else:
+        index = {v: i for i, v in enumerate(ids)}
+        for a, b in gset:
+            adj[index[a]].append(index[b])
+            adj[index[b]].append(index[a])
     for ns in adj:
         ns.sort()
     return gset, ids, index, adj
@@ -183,8 +191,7 @@ def _augment_phase(
             else:
                 if trace is not None:
                     trace(f"found {ids[v]} {ids[w]}")
-                on_v = set(_bases_to_root(v, base, parent, mate))
-                b = next(x for x in _bases_to_root(w, base, parent, mate) if x in on_v)
+                b = _blossom_base(v, w, base, parent, mate)
                 bases: set[int] = set()
                 _link_blossom_path(v, w, b, base, parent, mate, bases)
                 _link_blossom_path(w, v, b, base, parent, mate, bases)
@@ -210,18 +217,24 @@ def _augment_phase(
     return None if dead else (label, base)
 
 
-def _bases_to_root(
-    x: int, base: list[int], parent: list[int], mate: list[int]
-) -> list[int]:
-    """The blossom bases on the tree path from the even vertex ``x`` to its
-    root, outermost base of ``x`` first and the root last."""
-    out: list[int] = []
-    for _ in range(len(base)):
-        x = base[x]
-        out.append(x)
-        if mate[x] < 0:
-            return out
-        x = parent[mate[x]]
+def _blossom_base(
+    v: int, w: int, base: list[int], parent: list[int], mate: list[int]
+) -> int:
+    """The base of the blossom that an edge between the even vertices ``v``
+    and ``w`` of one tree closes: the first blossom base on both of their
+    tree paths. The two paths are walked one base at a time in turn, so the
+    walk stops within twice the distance to that base, not at the root."""
+    ends = [v, w]
+    # The side, 0 for v and 1 for w, that passed each base.
+    seen: dict[int, int] = {}
+    for step in range(2 * len(base)):
+        side = step & 1
+        x = ends[side]
+        if x >= 0:
+            x = base[x]
+            if seen.setdefault(x, side) != side:
+                return x
+            ends[side] = parent[mate[x]] if mate[x] >= 0 else -1
     raise InvariantViolation("a tree path is longer than the vertex count")
 
 
@@ -275,39 +288,50 @@ def certify_maximality(
     ValueError when the edge set is not a matching inside the graph.
     """
     gset, ids, index, adj = _renumber(g)
-    mset = graph(matching)
-    if not is_matching(mset):
-        raise ValueError("the given edge set is not a matching")
-    if not mset <= gset:
-        raise ValueError("the matching has edges outside the graph")
     mate = [-1] * len(ids)
-    for a, b in mset:
-        mate[index[a]], mate[index[b]] = index[b], index[a]
+    # Pairs outside the graph, partner by endpoint: any one is an error, but
+    # which error depends on whether all pairs together form a matching.
+    loose: dict[int, int] = {}
+    clash = False
+    for a, b in matching:
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        if ((a, b) if a < b else (b, a)) in gset:
+            i, j = index[a], index[b]
+            if mate[i] != j:
+                if mate[i] >= 0 or mate[j] >= 0:
+                    clash = True
+                mate[i], mate[j] = j, i
+        elif loose.setdefault(a, b) != b or loose.setdefault(b, a) != a:
+            clash = True
+    if clash or any(v in index and mate[index[v]] >= 0 for v in loose):
+        raise ValueError("the given edge set is not a matching")
+    if loose:
+        raise ValueError("the matching has edges outside the graph")
     forest = _augment_phase(adj, mate, ids, None)
     if forest is None:
         return None
-    return _certificate(mset, ids, index, *forest)
+    return _certificate(mate, ids, *forest)
 
 
 def _certificate(
-    matching: frozenset[Edge],
-    ids: list[int],
-    index: dict[int, int],
-    label: list[int],
-    base: list[int],
+    mate: list[int], ids: list[int], label: list[int], base: list[int]
 ) -> MaximalityCertificate:
     """The odd set cover read off the forest of a phase that failed to
-    augment ``matching``, given the input ids in sorted order, the index of
-    each, and the forest's final ``label`` and ``base`` arrays over those
-    indices: a singleton per odd vertex, the vertex set of each outer
-    blossom (even vertices sharing a base, more than one), and
-    ``leftover_cover``'s sets for the matched vertices no tree reached. No
-    contractions are recorded."""
+    augment the matching ``mate``, given over the indices of the input ids
+    in sorted order together with those ids and the forest's final
+    ``label`` and ``base`` arrays: a singleton per odd vertex, the vertex
+    set of each outer blossom (even vertices sharing a base, more than one),
+    and ``leftover_cover``'s sets for the matched vertices no tree reached.
+    No contractions are recorded."""
     cover = [frozenset((ids[v],)) for v, lab in enumerate(label) if lab == ODD]
     blossoms: dict[int, list[int]] = {}
     for v, lab in enumerate(label):
         if lab == EVEN:
             blossoms.setdefault(base[v], []).append(ids[v])
     cover += [frozenset(vs) for vs in blossoms.values() if len(vs) > 1]
-    cover += leftover_cover(sorted(e for e in matching if not label[index[e[0]]]))
+    # In index order the pairs come sorted, as leftover_cover needs.
+    cover += leftover_cover(
+        [(ids[v], ids[w]) for v, w in enumerate(mate) if v < w and not label[v]]
+    )
     return MaximalityCertificate((), frozenset(cover))

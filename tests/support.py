@@ -373,6 +373,25 @@ def absorbed_blossom(
     return g, m, len(m) + pendant
 
 
+def stem_with_triangles(
+    rng: random.Random, stem: int, triangles: int
+) -> tuple[frozenset, frozenset, int]:
+    """A stem of ``stem`` matched edges from the only free root to a vertex
+    t, and ``triangles`` triangles hanging off t, each a matched pair
+    joined to t by both its vertices. Every triangle closes a blossom with
+    base t at the far end of the stem. The graph, the planted matching and
+    the maximum matching size, which is the planted one's."""
+    built = PlantedInstance(rng)
+    top = built.vertex()
+    built.stem(top, stem)
+    for _ in range(triangles):
+        x, y = built.vertex(), built.vertex()
+        built.match(x, y)
+        built.edges += [(top, x), (top, y)]
+    g, m = built.layout()
+    return g, m, len(m)
+
+
 def reference_maximum_matching(g) -> frozenset:
     """The paper-shaped augmentation loop: start from the empty matching and
     augment along ``find_augmenting_path`` until no augmenting path remains.

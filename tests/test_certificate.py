@@ -56,6 +56,7 @@ def test_is_odd_set_cover_matches_its_definition():
     # definition: every member odd, every edge covered by some member
     rng = random.Random(62)
     verdicts = set()
+    branches = set()
     for _ in range(400):
         g = random_graph(rng, rng.randint(2, 9), 0.4)
         cover = [
@@ -67,7 +68,24 @@ def test_is_odd_set_cover_matches_its_definition():
         )
         assert is_odd_set_cover(cover, g) == expected
         verdicts.add(expected)
+        if all(len(s) % 2 == 1 for s in cover):
+            # each vertex in one larger set at most, or some vertex in two
+            larger = [v for s in cover if len(s) > 1 for v in s]
+            branches.add((len(set(larger)) == len(larger), expected))
     assert verdicts == {True, False}
+    assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_is_odd_set_cover_hand_cases():
+    # 3 lies in two larger sets; (3, 4) is covered only by the second
+    overlapping = [{1, 2, 3}, {3, 4, 5}]
+    assert is_odd_set_cover(overlapping, graph([(1, 3), (3, 4)]))
+    assert is_odd_set_cover(overlapping[::-1], graph([(1, 3), (3, 4)]))
+    assert not is_odd_set_cover(overlapping, graph([(1, 3), (3, 4), (2, 4)]))
+    # both ends in larger sets, but in different ones
+    assert not is_odd_set_cover([{1, 2, 3}, {4, 5, 6}], graph([(1, 2), (3, 4)]))
+    assert not is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 7}], graph([(1, 6)]))
+    assert is_odd_set_cover([{1, 2, 3}, {4, 5, 6}, {4}], graph([(1, 2), (3, 4)]))
 
 
 def test_verify_maximum_examples():

@@ -40,6 +40,42 @@ def test_graph_builder_canonicalises():
     assert graph([(2, 1), (1, 2), (3, 2)]) == frozenset({(1, 2), (2, 3)})
 
 
+def test_a_canonical_frozenset_is_taken_as_it_is():
+    for g in (DEMO12, TRIANGLE, frozenset(), frozenset({(-3, 10**9)})):
+        assert graph(g) is g
+    # a frozenset that is not canonical throughout is rebuilt as tuples
+    for g in (frozenset({(1, 2), (3, 2)}), frozenset({frozenset({1, 2})}), frozenset({"12"})):
+        out = graph(g)
+        assert out is not g
+        assert all(type(e) is tuple and e[0] < e[1] for e in out)
+    assert graph(frozenset({(1, 2), (3, 2)})) == frozenset({(1, 2), (2, 3)})
+    assert graph(frozenset({frozenset({1, 2})})) == frozenset({(1, 2)})
+
+
+@given(small_graphs, st.randoms(use_true_random=False))
+def test_graph_intake_forms_agree(g, rng):
+    pairs = sorted(g)
+    rng.shuffle(pairs)
+    forms = (
+        [(b, a) for a, b in pairs],
+        [[a, b] for a, b in pairs],
+        pairs + [(b, a) for a, b in pairs],
+        pairs,
+        iter(pairs),
+    )
+    for form in forms:
+        assert graph(form) == g
+
+
+def test_self_loops_raise_the_same_error():
+    for pairs in ([(1, 2), (2, 2)], frozenset({(1, 2), (2, 2)}), [[2, 2], (1, 2, 3)]):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+            graph(pairs)
+    # a malformed pair ahead of the self-loop is reported first, as before
+    with pytest.raises(ValueError, match="unpack"):
+        graph([(1, 2, 3), (2, 2)])
+
+
 def test_vertices():
     assert vertices(TRIANGLE) == {1, 2, 3}
     assert vertices(frozenset()) == set()

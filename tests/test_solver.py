@@ -17,6 +17,7 @@ from blossom import (
     edges_of_path,
     find_augmenting_path,
     find_maximum_matching,
+    format_certificate,
     graph,
     is_augmenting_path,
     is_matching,
@@ -25,7 +26,7 @@ from blossom import (
     verify_maximum,
     vertices,
 )
-from blossom.solver import _bases_to_root, _flip_to_root, _link_blossom_path
+from blossom.solver import _blossom_base, _flip_to_root, _link_blossom_path
 from support import (
     DEMO7,
     DEMO7_MATCHING,
@@ -44,6 +45,7 @@ from support import (
     random_matching,
     reference_maximum_matching,
     sparse_graph,
+    stem_with_triangles,
 )
 
 
@@ -136,6 +138,11 @@ def test_certify_maximality():
     assert replay.verdict and not problems
     # a non-maximum matching cannot be certified
     assert certify_maximality(DEMO7, DEMO7_MATCHING) is None
+    # with no free vertex no tree grows: the first matched edge in sorted
+    # order gives a singleton, and the rest one odd set
+    three = graph([(5, 6), (1, 2), (3, 4), (2, 3)])
+    cert = certify_maximality(three, graph([(5, 6), (3, 4), (1, 2)]))
+    assert cert is not None and cert.cover == {frozenset({1}), frozenset({2, 3, 4, 5, 6})}
 
 
 def test_certificates_verify_on_random_instances():
@@ -259,24 +266,34 @@ def test_certify_rejects_bad_matchings():
         certify_maximality(PATH4, graph([(1, 4)]))
 
 
+def refuse_everywhere(monkeypatch, originals, message: str) -> set[str]:
+    """Replace each function at every binding in the package's modules by
+    one that fails the test; the patched names, as module.name."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "blossom" or name.startswith("blossom."):
+            for original in originals:
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, refuse)
+                    patched.add(f"{name}.{original.__name__}")
+    return patched
+
+
 def test_solve_and_certify_never_run_the_spec_layer(monkeypatch):
     # the paper-shaped search, assembly and contraction are the specification
     # the engine is checked against, not part of the production path
-    def refuse(*args, **kwargs):
-        raise AssertionError("the production path ran the paper-shaped layer")
-
     spec = (
         blossom.forest.run_search,
         blossom.assembly.find_path_or_blossom,
         blossom.contraction.quotient_graph,
     )
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name == "blossom" or name.startswith("blossom."):
-            for original in spec:
-                if getattr(module, original.__name__, None) is original:
-                    monkeypatch.setattr(module, original.__name__, refuse)
-                    patched.add(f"{name}.{original.__name__}")
+    patched = refuse_everywhere(
+        monkeypatch, spec, "the production path ran the paper-shaped layer"
+    )
     assert {
         "blossom.assembly.run_search",
         "blossom.solver.find_path_or_blossom",
@@ -290,11 +307,23 @@ def test_solve_and_certify_never_run_the_spec_layer(monkeypatch):
         assert report.verdict and not problems
 
 
+def test_edge_loops_make_no_call_per_edge(monkeypatch):
+    # a canonical frozenset goes through solve, certify and verify without
+    # one call to edge()
+    patched = refuse_everywhere(
+        monkeypatch, (edge,), "an edge loop canonicalised an edge"
+    )
+    assert {"blossom.graph.edge", "blossom.edge"} <= patched
+    for g in (DEMO12, TAILED_TRIANGLE, INTERLEAVED_400):
+        assert type(g) is frozenset
+        assert certified(g, find_maximum_matching(g))
+
+
 def test_engine_pointer_walks_stop_on_a_cycle():
     # vertices 0 and 1 matched to each other, each the other's parent
     base, parent, mate = [0, 1], [1, 0], [1, 0]
     with pytest.raises(InvariantViolation):
-        _bases_to_root(0, base, parent, mate)
+        _blossom_base(0, 1, base, parent, mate)
     with pytest.raises(InvariantViolation):
         _flip_to_root(0, parent, list(mate))
     with pytest.raises(InvariantViolation):
@@ -352,3 +381,162 @@ def test_sparse_graph_solves_in_few_phases(phases):
     m = find_maximum_matching(g)
     assert len(phases) <= 15
     assert certified(g, m)
+
+
+def count_walk_steps(run) -> int:
+    """Line events inside the engine's blossom-base walk while ``run()``
+    runs, a count of its steps that does not depend on the machine."""
+    walk = _blossom_base.__code__
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        steps += event == "line"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is walk else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return steps
+
+
+def test_blossom_bases_are_found_near_the_blossom():
+    # each of 300 triangles closes a blossom at the far end of a stem of
+    # 300 matched edges; walking to the root for each would take stem x
+    # triangles steps, some 1,500 line events per vertex
+    g, planted, size = stem_with_triangles(random.Random(63), 300, 300)
+    n = len(vertices(g))
+    m = find_maximum_matching(g)
+    assert len(m) == size and len(planted) == size
+    for run in (lambda: find_maximum_matching(g), lambda: certify_maximality(g, m)):
+        assert 300 <= count_walk_steps(run) <= 20 * n
+    assert certified(g, m)
+    assert certified(g, planted)
+
+
+def compact(g) -> frozenset:
+    """The graph relabelled in order to the ids 0..n-1."""
+    order = {v: i for i, v in enumerate(sorted(vertices(g)))}
+    return frozenset((order[a], order[b]) for a, b in g)
+
+
+INTAKE_GRAPHS = {
+    "DEMO12": DEMO12,
+    "TAILED_TRIANGLE": TAILED_TRIANGLE,
+    "petersen": graph(
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+    ),
+    "random 0-based": compact(random_graph(random.Random(64), 30, 0.15)),
+    "nested blossoms": nested_blossoms(random.Random(65), 4, 7, True, 2)[0],
+}
+
+
+def intake_forms(g, rng: random.Random) -> dict:
+    """The canonical frozenset and four other ways to give the same graph."""
+    pairs = sorted(g)
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    return {
+        "canonical": g,
+        "reversed": [(b, a) for a, b in pairs],
+        "lists": [[a, b] for a, b in pairs],
+        "both orientations": pairs + [(b, a) for a, b in pairs[::3]],
+        "shuffled": shuffled,
+    }
+
+
+def solve_and_certify_text(g, matching=None) -> tuple[frozenset, str]:
+    m = find_maximum_matching(g)
+    cert = certify_maximality(g, m if matching is None else matching)
+    assert cert is not None
+    return m, format_certificate(cert.contractions, cert.cover)
+
+
+@pytest.mark.parametrize("name", INTAKE_GRAPHS)
+def test_intake_forms_agree(name):
+    g = INTAKE_GRAPHS[name]
+    expected = solve_and_certify_text(g)
+    for form, given in intake_forms(g, random.Random(66)).items():
+        assert solve_and_certify_text(given) == expected, form
+    # the matching may be given in the same forms
+    m = expected[0]
+    for form, given in intake_forms(m, random.Random(67)).items():
+        assert solve_and_certify_text(g, given) == expected, form
+
+
+def relabel(g, f) -> frozenset:
+    return graph((f(a), f(b)) for a, b in g)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [lambda v: v + 1, lambda v: v - 7, lambda v: 10**9 * v + 3, lambda v: 2**70 - 10**6 * v],
+    ids=["1-based", "negative", "sparse", "huge-decreasing"],
+)
+def test_any_ids_agree_with_the_dense_ids(label):
+    # ids 0..n-1 are their own index, every other id goes through a dict;
+    # an order-preserving relabelling runs the engine identically, and a
+    # reversing one still gives a certified maximum matching
+    rng = random.Random(68)
+    graphs = [INTAKE_GRAPHS["random 0-based"], frozenset()]
+    graphs += [compact(random_graph(rng, rng.randint(2, 40), 0.12)) for _ in range(20)]
+    increasing = label(1) > label(0)
+    for g in graphs:
+        assert vertices(g) == set(range(len(vertices(g))))
+        m, text = solve_and_certify_text(g)
+        h = relabel(g, label)
+        hm, htext = solve_and_certify_text(h)
+        if increasing:
+            assert hm == relabel(m, label)
+            cert = certify_maximality(h, hm)
+            back = {v: u for u in vertices(g) for v in (label(u),)}
+            assert format_certificate((), [{back[v] for v in s} for s in cert.cover]) == text
+        else:
+            assert len(hm) == len(m) and certified(h, hm)
+    assert find_maximum_matching([]) == frozenset()
+    cert = certify_maximality([], [])
+    assert cert is not None and cert.cover == frozenset()
+
+
+def old_intake_error(g, pairs) -> str | None:
+    """The error certify_maximality raised for a matching before it checked
+    the pairs in one loop: canonicalise, then the matching check, then the
+    subset check."""
+    try:
+        mset = graph(pairs)
+    except ValueError as exc:
+        return str(exc)
+    if not is_matching(mset):
+        return "the given edge set is not a matching"
+    if not mset <= g:
+        return "the matching has edges outside the graph"
+    return None
+
+
+def test_certify_checks_the_matching_as_before():
+    rng = random.Random(69)
+    seen = set()
+    for _ in range(3000):
+        g = random_graph(rng, rng.randint(2, 8), 0.5, first=rng.choice([0, 1]))
+        pool = sorted(g) + [(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(2)]
+        pairs = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        pairs += [(b, a) for a, b in pairs if rng.random() < 0.2]
+        rng.shuffle(pairs)
+        error = old_intake_error(g, pairs)
+        seen.add(error and error.split()[0])
+        if error is None:
+            certify_maximality(g, pairs)
+        else:
+            with pytest.raises(ValueError) as info:
+                certify_maximality(g, pairs)
+            assert str(info.value) == error
+    assert seen == {None, "self-loop", "the"}
+    with pytest.raises(ValueError, match="^self-loop at vertex 4$"):
+        find_maximum_matching([(1, 2), (4, 4)])
+    with pytest.raises(ValueError, match="^self-loop at vertex 4$"):
+        certify_maximality(PATH4, [(1, 2), (2, 3), (4, 4)])
