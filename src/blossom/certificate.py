@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .contraction import ContractionMap, is_blossom, quotient_graph
-from .graph import Edge, vertices
+from .graph import Edge, graph, vertices
 from .matching import is_matching
 
 
@@ -100,15 +100,24 @@ def verify_maximum(
 
     A true verdict means the matching is a matching inside the graph and the
     cover is valid with capacity equal to the matching size, which proves the
-    matching maximum. Failures land in the report; nothing is raised.
+    matching maximum. Failures land in the report; nothing is raised. Pairs
+    may come in either order; both sets are canonicalised only when the
+    matching is not a subset of the graph as given.
     """
     gset = frozenset(g)
     mset = frozenset(matching)
+    subset_ok = mset <= gset
+    if not subset_ok:
+        try:
+            gset, mset = graph(gset), graph(mset)
+        except ValueError:  # a self-loop, which fails the checks as it is
+            pass
+        subset_ok = mset <= gset
     sets = [frozenset(s) for s in cover]
     cap = sum(capacity(s) for s in sets if len(s) % 2 == 1)
     return VerificationReport(
         matching_ok=is_matching(mset),
-        subset_ok=mset <= gset,
+        subset_ok=subset_ok,
         cover_ok=is_odd_set_cover(sets, gset),
         capacity=cap,
         matching_size=len(mset),
@@ -148,7 +157,9 @@ def verify_certificate(
     against the final graph and matching. Returns the report together with a
     list of problems found during the replay (empty when the history is
     sound). The certificate proves the original matching maximum only when
-    the report's verdict is true and there are no problems.
+    the report's verdict is true and there are no problems. The replay
+    takes the pairs as given, so a history needs canonical ``(min, max)``
+    pairs; with no contractions either order verifies.
     """
     problems: list[str] = []
     cur_g = frozenset(g)

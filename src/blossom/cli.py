@@ -26,7 +26,7 @@ from .certificate import (
 from .graph import Edge, edge
 from .matching import is_matching
 from .oracle import OracleLimitError, brute_force_maximum_matching
-from .solver import _solve, find_maximum_matching
+from .solver import _solve
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -147,10 +147,11 @@ def run_solve(
 
     With a certificate path, the odd set cover read off the solve's last
     phase, the one that failed to augment, is written there: ``s`` lines
-    only, a cover of the input graph with no contraction history. With
-    trace enabled, one ``grow``, ``found`` or ``skip`` record per edge the
-    solve examines goes to standard error, with the input's vertex ids
-    shifted to 0-based.
+    only, a cover of the input graph with no contraction history. It is
+    written before the matching is printed, so a failed write leaves
+    standard output empty. With trace enabled, one ``grow``, ``found`` or
+    ``skip`` record per edge the solve examines goes to standard error, with
+    the input's vertex ids shifted to 0-based.
     Any unexpected exception ends in exit code 3 and one line of error.
     """
     out = out if out is not None else sys.stdout
@@ -160,23 +161,20 @@ def run_solve(
         return EXIT_PARSE
     _, g = loaded
     tracer = (lambda line: print(line, file=err)) if trace else None
-    certificate_text = None
     try:
-        if certificate_path is None:
-            matching = find_maximum_matching(g, trace=tracer)
-        else:
-            matching, certificate = _solve(g, tracer)
+        matching, certificate = _solve(g, tracer)
+        if certificate_path is not None:
             certificate_text = format_certificate((), certificate().cover, offset=1)
     except Exception as exc:  # any failure of the solver is an internal error
         return _internal_error(exc, err)
-    _print_matching(matching, out)
-    if certificate_text is not None:
+    if certificate_path is not None:
         try:
             with open(certificate_path, "w", encoding="utf-8") as handle:
                 handle.write(certificate_text)
         except OSError as exc:
             print(f"error: cannot write {certificate_path}: {exc}", file=err)
             return EXIT_PARSE
+    _print_matching(matching, out)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from .certificate import MaximalityCertificate
 from .contraction import ContractionMap, fresh_vertex, lift_path, quotient_graph
 from .forest import InvariantViolation, Trace, leftover_cover
 from .graph import Edge, graph, vertices
+from .matching import is_matching
 
 
 def find_augmenting_path(
@@ -104,17 +105,17 @@ def _solve(
 
 def _renumber(
     g: Iterable[Edge],
-) -> tuple[frozenset[Edge], list[int], dict[int, int] | range, list[list[int]]]:
+) -> tuple[frozenset[Edge], list[int], dict[int, int] | list[int], list[list[int]]]:
     """The graph's canonical edge set, its vertex ids in sorted order, the
     index 0..n-1 of each id in that order, and the sorted adjacency lists
     over the indices. When the ids are exactly 0..n-1 each is its own index,
-    and the index is ``range(n)``."""
+    and the index is ``ids`` itself: a list subscripts faster than a range."""
     gset = graph(g)
     ids = sorted(set(chain.from_iterable(gset)))
     n = len(ids)
     adj: list[list[int]] = [[] for _ in ids]
     if not n or ids[0] == 0 and ids[-1] == n - 1:
-        index: dict[int, int] | range = range(n)
+        index: dict[int, int] | list[int] = ids
         for a, b in gset:
             adj[a].append(b)
             adj[b].append(a)
@@ -288,26 +289,15 @@ def certify_maximality(
     ValueError when the edge set is not a matching inside the graph.
     """
     gset, ids, index, adj = _renumber(g)
-    mate = [-1] * len(ids)
-    # Pairs outside the graph, partner by endpoint: any one is an error, but
-    # which error depends on whether all pairs together form a matching.
-    loose: dict[int, int] = {}
-    clash = False
-    for a, b in matching:
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a}")
-        if ((a, b) if a < b else (b, a)) in gset:
-            i, j = index[a], index[b]
-            if mate[i] != j:
-                if mate[i] >= 0 or mate[j] >= 0:
-                    clash = True
-                mate[i], mate[j] = j, i
-        elif loose.setdefault(a, b) != b or loose.setdefault(b, a) != a:
-            clash = True
-    if clash or any(v in index and mate[index[v]] >= 0 for v in loose):
+    mset = graph(matching)
+    if not is_matching(mset):
         raise ValueError("the given edge set is not a matching")
-    if loose:
+    if not mset <= gset:
         raise ValueError("the matching has edges outside the graph")
+    mate = [-1] * len(ids)
+    for a, b in mset:
+        i, j = index[a], index[b]
+        mate[i], mate[j] = j, i
     forest = _augment_phase(adj, mate, ids, None)
     if forest is None:
         return None

@@ -105,6 +105,17 @@ def test_verify_maximum_examples():
     report = verify_maximum(DEMO12, DEMO12_MATCHING, cover)
     assert report.verdict and report.capacity == 5
 
+    # pairs listed (larger, smaller) verify the engine's own result
+    g = [(2, 1), (3, 2), (3, 1)]
+    m = find_maximum_matching(g)
+    report, problems = verify_certificate(g, m, [], certify_maximality(g, m).cover)
+    assert report.verdict and not problems
+    report = verify_maximum(g, [(2, 1), (1, 2)], [{1, 2, 3}])
+    assert report.verdict and report.matching_size == 1
+    # a self-loop pair is not a matching, and nothing is raised
+    report = verify_maximum(g, [(1, 1)], [{1, 2, 3}])
+    assert not report.matching_ok and not report.verdict
+
 
 def test_verify_maximum_flags_each_failure():
     single = graph([(1, 2)])
@@ -147,6 +158,8 @@ def test_parse_certificate_rejects_junk():
         parse_certificate("q 1 2\n")
     with pytest.raises(ValueError):
         parse_certificate("s\n")
+    with pytest.raises(ValueError, match="^line 1: malformed contraction record$"):
+        parse_certificate("x 9 5 1 2 3 1\n")
 
 
 def test_verify_certificate_detects_tampering():

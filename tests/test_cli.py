@@ -9,6 +9,7 @@ import pytest
 
 import blossom
 from blossom import (
+    ContractionStep,
     certify_maximality,
     find_maximum_matching,
     format_certificate,
@@ -152,6 +153,9 @@ def test_solve_seven_vertex_fixture(tmp_path):
 def test_solve_reports_parse_errors(tmp_path):
     code, out, err, _ = _solve(tmp_path, "p edge 2 1\ne 1 1\n")
     assert code == EXIT_PARSE and "self-loop" in err
+    code, out, err, _ = _solve(tmp_path, "p edge 2 1\np edge 2 1\ne 1 2\n")
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"error: {tmp_path / 'graph.txt'}: line 2: duplicate problem line\n"
     out_io, err_io = io.StringIO(), io.StringIO()
     assert run_solve(str(tmp_path / "missing.txt"), out=out_io, err=err_io) == EXIT_PARSE
 
@@ -213,13 +217,29 @@ def test_verify_replays_contraction_lines(tmp_path):
     (tmp_path / "m.txt").write_text("m 1 2\nm 3 4\nm 5 6\nm 7 8\nm 9 10\n")
     # DEMO12_TEXT keeps the fixture's ids, which are 1-based already
     (tmp_path / "c.txt").write_text(format_certificate(cert.contractions, cert.cover))
-    out = io.StringIO()
-    code = run_verify(
-        *(str(tmp_path / name) for name in ("g.txt", "m.txt", "c.txt")), out=out, err=io.StringIO()
-    )
+    paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
+    code, out, _ = _run("verify", paths)
     assert code == EXIT_OK
-    assert "contractions replayed: 2" in out.getvalue()
-    assert "maximality certified: yes" in out.getvalue()
+    assert "contractions replayed: 2" in out
+    assert "maximality certified: yes" in out
+    # tampered: the first contraction's fresh vertex is already in the graph
+    step = cert.contractions[0]
+    clash = [ContractionStep(step.stem, step.cycle, 11), *cert.contractions[1:]]
+    (tmp_path / "c.txt").write_text(format_certificate(clash, cert.cover))
+    code, out, err = _run("verify", paths)
+    assert code == EXIT_VERIFY and err == ""
+    problems = [line for line in out.splitlines() if line.startswith("certificate problem: ")]
+    assert len(problems) == 1 and problems[0].endswith(" already occurs in the graph")
+    assert "maximality certified: no" in out and out.endswith("verdict: FAIL\n")
+
+
+def test_unwritable_certificate_path_prints_nothing(tmp_path):
+    (tmp_path / "graph.txt").write_text(DEMO12_TEXT)
+    cpath = tmp_path / "missing" / "cert.txt"
+    code, out, err = _run("solve", [tmp_path / "graph.txt", cpath])
+    assert code == EXIT_PARSE and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {cpath}: ")
 
 
 def test_certificates_without_contractions_round_trip(tmp_path):
@@ -257,17 +277,17 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     import blossom.cli as cli
     from blossom import InvariantViolation
 
-    def boom(g, trace=None):
+    def boom(g, trace):
         raise InvariantViolation("induced for the test")
 
-    monkeypatch.setattr(cli, "find_maximum_matching", boom)
+    monkeypatch.setattr(cli, "_solve", boom)
     (tmp_path / "g.txt").write_text(TRIANGLE_TEXT)
     out, err = io.StringIO(), io.StringIO()
     assert run_solve(str(tmp_path / "g.txt"), out=out, err=err) == 3
     assert "internal error" in err.getvalue()
 
 
-@pytest.mark.parametrize("target", ["find_maximum_matching", "verify_certificate"])
+@pytest.mark.parametrize("target", ["_solve", "verify_certificate"])
 def test_unexpected_errors_exit_three_on_one_line(tmp_path, monkeypatch, target):
     import blossom.cli as cli
 
@@ -279,7 +299,7 @@ def test_unexpected_errors_exit_three_on_one_line(tmp_path, monkeypatch, target)
     (tmp_path / "m.txt").write_text("s 1\nm 1 2\n")
     (tmp_path / "c.txt").write_text("s 1 2 3\n")
     out, err = io.StringIO(), io.StringIO()
-    if target == "find_maximum_matching":
+    if target == "_solve":
         code = run_solve(str(tmp_path / "g.txt"), out=out, err=err)
     else:
         code = run_verify(

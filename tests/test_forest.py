@@ -97,13 +97,74 @@ def test_invariants_hold_during_random_searches():
         run_search(g, m, check_invariants=True)
 
 
+E, O = Parity.EVEN, Parity.ODD
+
+# One corrupted state per rule of check_search_invariants: (graph, matching,
+# labels as vertex: (root, parity) in the order they are checked, parent,
+# examined, the rule's message). Each passes every earlier rule.
+CORRUPTIONS = [
+    # 1 -> 3 is not an edge
+    ([(1, 2), (3, 4)], [], {1: (1, E), 3: (1, O)}, {3: 1}, [],
+     "a root-ward chain leaves the graph"),
+    ([(1, 2)], [], {9: (9, E)}, {}, [],
+     "a labelled vertex does not occur in the graph"),
+    ([(1, 2)], [(1, 2)], {1: (1, E)}, {}, [],
+     "a root-ward chain ends at a matched vertex"),
+    ([(1, 2)], [], {1: (1, O)}, {}, [],
+     "a root-ward chain does not end at an even-labelled root"),
+    ([(1, 2), (2, 3)], [(2, 3)], {1: (1, E), 2: (5, O)}, {2: 1}, [],
+     "a chain crosses trees or reaches an unlabelled vertex"),
+    # 3 reaches 2 over an edge outside the matching
+    ([(1, 2), (2, 3)], [], {1: (1, E), 2: (1, O), 3: (1, E)}, {2: 1, 3: 2}, [],
+     "an even-to-odd chain step is not a matching edge"),
+    # 4 is odd, so its chain skips the alternation check
+    (PATH4, [(3, 4)], {4: (1, O), 1: (1, E), 2: (1, O), 3: (1, E)}, {2: 1, 3: 2, 4: 3}, [],
+     "an odd-to-even chain step is a matching edge"),
+    ([(1, 2), (2, 3)], [], {3: (1, O), 1: (1, E), 2: (1, O)}, {2: 1, 3: 2}, [],
+     "adjacent chain vertices share a parity"),
+    ([(1, 2), (2, 3)], [(2, 3)], {1: (1, E), 2: (1, O)}, {2: 1}, [],
+     "a matching edge has exactly one labelled endpoint"),
+    ([(1, 2), (2, 3)], [(2, 3)], {1: (1, E), 2: (1, O), 3: (1, E)}, {2: 1, 3: 2}, [],
+     "a matching edge with labelled endpoints was not examined"),
+    # both ends of (2, 3) are odd children of 1
+    (TRIANGLE, [(2, 3)], {1: (1, E), 2: (1, O), 3: (1, O)}, {2: 1, 3: 1}, [(2, 3)],
+     "a matching edge is not labelled even/odd within one tree"),
+    ([(1, 2)], [(1, 2)], {}, {}, [(1, 2)],
+     "an examined matching edge has unlabelled endpoints"),
+    ([(1, 2)], [], {1: (1, E), 2: (2, E)}, {}, [(1, 2)],
+     "an examined edge has no odd-labelled endpoint"),
+    ([(1, 2), (2, 3)], [], {1: (1, E), 2: (1, O)}, {2: 1}, [(1, 2)],
+     "odd-labelled vertex count differs from the examined matching edges"),
+    # 4 is unlabelled, and its only edge (2, 4) is examined
+    ([(1, 2), (2, 3), (2, 4)], [(2, 3)], {1: (1, E), 2: (1, O), 3: (1, E)}, {2: 1, 3: 2},
+     [(2, 3), (2, 4)], "an unlabelled vertex has all of its edges examined"),
+    # 2 is odd, but every examined edge is one of 3's two matching edges
+    ([(1, 2), (1, 3), (3, 4), (3, 5)], [(3, 4), (3, 5)],
+     {1: (1, E), 2: (1, O), 3: (1, O), 4: (1, E), 5: (1, E)}, {2: 1, 3: 1, 4: 3, 5: 3},
+     [(3, 4), (3, 5)], "an odd-labelled vertex touches no examined graph edge"),
+]
+
+
 def test_invariant_checker_catches_corruption():
     outcome = run_search(PATH4, graph([(2, 3)]))
     state = outcome.state
     state.labels[2] = Label(1, Parity.EVEN)  # 2 sits at odd depth below root 1
-    with pytest.raises(InvariantViolation):
+    message = "^labels along a chain do not alternate within one tree$"
+    with pytest.raises(InvariantViolation, match=message):
         check_search_invariants(PATH4, graph([(2, 3)]), state)
     fresh = SearchState()
     fresh.parent[5] = 6  # parents must be labelled
-    with pytest.raises(InvariantViolation):
+    message = "^an unlabelled vertex is recorded as a parent$"
+    with pytest.raises(InvariantViolation, match=message):
         check_search_invariants(graph([(5, 6)]), frozenset(), fresh)
+    for g, m, labels, parent, examined, message in CORRUPTIONS:
+        state = SearchState(
+            set(examined), dict(parent), {v: Label(*lab) for v, lab in labels.items()}
+        )
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            check_search_invariants(graph(g), graph(m), state)
+    # "a root-ward chain repeats a vertex" is pre-empted: a chain that comes
+    # back to a vertex goes round a parent cycle, which follow() reports first
+    state = SearchState(set(), {1: 2, 2: 1}, {1: Label(1, E), 2: Label(1, O)})
+    with pytest.raises(InvariantViolation, match="^parent relation has a cycle$"):
+        check_search_invariants(graph([(1, 2)]), frozenset(), state)

@@ -232,13 +232,16 @@ FOUND_OR_SKIP = re.compile(r"(found|skip) \d+ \d+")
 def test_trace_records_use_the_search_layouts_and_input_ids():
     searched: list[str] = []
     run_search(DEMO7, DEMO7_MATCHING, trace=searched.append)
-    for g in (DEMO7, DEMO12):
+    # greedy matches (0, 1) of the last graph; its phase then finds the edge
+    # (3, 1) joining the live trees rooted at 2 and 3
+    for g in (DEMO7, DEMO12, graph([(0, 1), (0, 2), (1, 3)])):
         records: list[str] = []
         find_maximum_matching(g, trace=records.append)
         assert records
         for record in records + searched:
             assert GROW.fullmatch(record) or FOUND_OR_SKIP.fullmatch(record), record
         assert {int(t) for r in records for t in r.split() if t.isdigit()} <= vertices(g)
+    assert records == ["grow 2 0 label 0 odd 2 label 1 even 2 parent 0 2 parent 1 0", "found 3 1"]
 
 
 def test_certify_agrees_with_bruteforce():
@@ -504,9 +507,8 @@ def test_any_ids_agree_with_the_dense_ids(label):
 
 
 def old_intake_error(g, pairs) -> str | None:
-    """The error certify_maximality raised for a matching before it checked
-    the pairs in one loop: canonicalise, then the matching check, then the
-    subset check."""
+    """The error certify_maximality raises for a matching, in the order it
+    checks: canonicalise, then the matching check, then the subset check."""
     try:
         mset = graph(pairs)
     except ValueError as exc:
