@@ -12,7 +12,7 @@ cover, for a cover of a contracted graph; verification replays it first.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .contraction import ContractionMap, is_blossom, quotient_graph
 from .graph import Edge, graph, vertices
@@ -102,21 +102,21 @@ def verify_maximum(
     cover is valid with capacity equal to the matching size, which proves the
     matching maximum. Failures land in the report; nothing is raised. Pairs
     may come in either order; both sets are canonicalised only when the
-    matching is not a subset of the graph as given.
+    matching fails either check as given.
     """
     gset = frozenset(g)
     mset = frozenset(matching)
-    subset_ok = mset <= gset
-    if not subset_ok:
+    matching_ok, subset_ok = is_matching(mset), mset <= gset
+    if not (matching_ok and subset_ok):
         try:
             gset, mset = graph(gset), graph(mset)
         except ValueError:  # a self-loop, which fails the checks as it is
             pass
-        subset_ok = mset <= gset
+        matching_ok, subset_ok = is_matching(mset), mset <= gset
     sets = [frozenset(s) for s in cover]
     cap = sum(capacity(s) for s in sets if len(s) % 2 == 1)
     return VerificationReport(
-        matching_ok=is_matching(mset),
+        matching_ok=matching_ok,
         subset_ok=subset_ok,
         cover_ok=is_odd_set_cover(sets, gset),
         capacity=cap,
@@ -152,28 +152,27 @@ def verify_certificate(
 ) -> tuple[VerificationReport, list[str]]:
     """Replay the contraction history and verify the cover on the result.
 
-    Each recorded step must be a genuine blossom of the graph it was found
-    in, contracted to a genuinely fresh vertex; the cover is then checked
-    against the final graph and matching. Returns the report together with a
-    list of problems found during the replay (empty when the history is
-    sound). The certificate proves the original matching maximum only when
-    the report's verdict is true and there are no problems. The replay
-    takes the pairs as given, so a history needs canonical ``(min, max)``
+    ``matching_ok`` and ``subset_ok`` describe the given matching in the
+    given graph, by ``verify_maximum``'s rule, whatever the history. Each
+    step must be a genuine blossom of the graph it was found in, contracted
+    to a fresh vertex; the first that is not is the one problem, named by its
+    1-based position. The cover is checked against the final graph and
+    matching. Contracting a blossom keeps a matching a matching, so a true
+    verdict with no problems proves the given matching maximum. The replay
+    looks pairs up as given, so a history needs canonical ``(min, max)``
     pairs; with no contractions either order verifies.
     """
+    gset, mset = frozenset(g), frozenset(matching)
+    cur_g, cur_m = gset, mset
     problems: list[str] = []
-    cur_g = frozenset(g)
-    cur_m = frozenset(matching)
-    for step in contractions:
+    for i, step in enumerate(contractions, start=1):
         vs = vertices(cur_g)
         if step.fresh in vs:
-            problems.append(
-                f"contraction target {step.fresh} already occurs in the graph"
-            )
+            problems.append(f"contraction {i}: its target already occurs in the graph")
             break
         if not is_blossom(cur_g, cur_m, step.stem, step.cycle):
             problems.append(
-                f"recorded stem/cycle for target {step.fresh} is not a blossom "
+                f"contraction {i}: its stem and cycle are not a blossom "
                 f"of the graph it was contracted in"
             )
             break
@@ -181,6 +180,9 @@ def verify_certificate(
         cur_g = quotient_graph(cmap, cur_g)
         cur_m = quotient_graph(cmap, cur_m)
     report = verify_maximum(cur_g, cur_m, cover)
+    if contractions:  # the flags describe the given matching, not its quotient
+        given = verify_maximum(gset, mset, ())
+        report = replace(report, matching_ok=given.matching_ok, subset_ok=given.subset_ok)
     return report, problems
 
 
@@ -242,7 +244,7 @@ def parse_certificate(
                 raise ValueError(f"line {line_no}: truncated contraction record")
             fresh, stem_len = numbers[0] - offset, numbers[1]
             rest = [n - offset for n in numbers[2:]]
-            if stem_len < 0 or len(rest) < stem_len + 3:
+            if len(rest) < stem_len + 3:
                 raise ValueError(f"line {line_no}: malformed contraction record")
             contractions.append(
                 ContractionStep(stem=rest[:stem_len], cycle=rest[stem_len:], fresh=fresh)

@@ -24,7 +24,6 @@ from .certificate import (
     verify_certificate,
 )
 from .graph import Edge, edge
-from .matching import is_matching
 from .oracle import OracleLimitError, brute_force_maximum_matching
 from .solver import _solve
 
@@ -186,10 +185,10 @@ def run_verify(
     err: TextIO | None = None,
 ) -> int:
     """Check a matching file against a graph file, and optionally a
-    certificate of maximality; prints a human-readable report. Every file is
-    loaded before the report starts, so a file that fails to load leaves
-    standard output empty. An unexpected exception from the verifier ends in
-    exit code 3 and one line of error."""
+    certificate of maximality, with ``verify_certificate``; prints its report.
+    Every file is loaded before the report starts, so a file that fails to
+    load leaves standard output empty. An unexpected exception from the
+    verifier ends in exit code 3 and one line of error."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     loaded = _load(graph_path, parse_graph_file, err)
@@ -199,23 +198,21 @@ def run_verify(
     matching = _load(matching_path, lambda text: parse_matching_file(text, vertex_count), err)
     if matching is None:
         return EXIT_PARSE
-    parsed = None
+    steps, cover = [], frozenset()
     if certificate_path is not None:
         parsed = _load(certificate_path, lambda text: parse_certificate(text, offset=1), err)
         if parsed is None:
             return EXIT_PARSE
-    matching_ok = is_matching(matching)
-    subset_ok = matching <= g
-    print(f"matching: {len(matching)} edges", file=out)
-    print(f"pairwise vertex-disjoint: {'yes' if matching_ok else 'no'}", file=out)
-    print(f"contained in the graph: {'yes' if subset_ok else 'no'}", file=out)
-    ok = matching_ok and subset_ok
-    if parsed is not None:
         steps, cover = parsed
-        try:
-            report, problems = verify_certificate(g, matching, steps, cover)
-        except Exception as exc:  # any failure of the verifier is an internal error
-            return _internal_error(exc, err)
+    try:
+        report, problems = verify_certificate(g, matching, steps, cover)
+    except Exception as exc:  # any failure of the verifier is an internal error
+        return _internal_error(exc, err)
+    print(f"matching: {len(matching)} edges", file=out)
+    print(f"pairwise vertex-disjoint: {'yes' if report.matching_ok else 'no'}", file=out)
+    print(f"contained in the graph: {'yes' if report.subset_ok else 'no'}", file=out)
+    ok = report.matching_ok and report.subset_ok
+    if certificate_path is not None:
         print(f"contractions replayed: {len(steps)}", file=out)
         for problem in problems:
             print(f"certificate problem: {problem}", file=out)
@@ -225,9 +222,8 @@ def run_verify(
             f"cover capacity {report.capacity} vs matching size {report.matching_size}",
             file=out,
         )
-        certified = report.verdict and not problems
-        print(f"maximality certified: {'yes' if certified else 'no'}", file=out)
-        ok = ok and certified
+        ok = report.verdict and not problems
+        print(f"maximality certified: {'yes' if ok else 'no'}", file=out)
     print(f"verdict: {'ok' if ok else 'FAIL'}", file=out)
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -56,14 +56,14 @@ class InvariantViolation(RuntimeError):
 Trace = Callable[[str], None]
 
 
-def follow(parent: Mapping[int, int], v: int, limit: int | None = None) -> list[int]:
+def follow(parent: Mapping[int, int], v: int) -> list[int]:
     """Ascend parent pointers from ``v`` to its root.
 
-    Raises InvariantViolation when more steps are taken than the pointer map
-    could possibly support, which means the parent relation has a cycle.
+    Raises InvariantViolation when the chain outgrows ``len(parent) + 1``
+    vertices, the most an acyclic chain can hold, which means the parent
+    relation has a cycle.
     """
-    if limit is None:
-        limit = len(parent) + 1
+    limit = len(parent) + 1
     out = [v]
     while out[-1] in parent:
         out.append(parent[out[-1]])
@@ -204,7 +204,6 @@ def check_search_invariants(
     mset = frozenset(matching)
     labels, parent, examined = state.labels, state.parent, state.examined
     vs = vertices(gset)
-    limit = len(vs) + 1
 
     def fail(message: str) -> None:
         raise InvariantViolation(message)
@@ -215,7 +214,7 @@ def check_search_invariants(
 
     matched = vertices(mset)
     for v, lab in labels.items():
-        chain = follow(parent, v, limit)  # raises on a parent cycle
+        chain = follow(parent, v)  # raises on a parent cycle
         if not is_simple(chain):
             fail("a root-ward chain repeats a vertex")
         if len(chain) > 1 and not is_path(gset, chain):

@@ -112,6 +112,9 @@ def test_verify_maximum_examples():
     assert report.verdict and not problems
     report = verify_maximum(g, [(2, 1), (1, 2)], [{1, 2, 3}])
     assert report.verdict and report.matching_size == 1
+    # one edge listed both ways in graph and matching alike, as certify takes it
+    report = verify_maximum([(1, 2), (2, 1), (2, 3)], [(1, 2), (2, 1)], [{2}])
+    assert report.verdict and report.matching_size == 1
     # a self-loop pair is not a matching, and nothing is raised
     report = verify_maximum(g, [(1, 1)], [{1, 2, 3}])
     assert not report.matching_ok and not report.verdict
@@ -179,6 +182,16 @@ def test_verify_certificate_detects_tampering():
     report, problems = verify_certificate(DEMO12, DEMO12_MATCHING, steps, small_cover)
     assert not problems
     assert not report.verdict
+
+    # the contraction hides that vertex 1 is matched twice, and in the twin
+    # also that (1, 3) is not an edge; the flags judge the given matching
+    triangle = ContractionStep([], [0, 1, 2, 0], 4)
+    for extra in [(1, 3), (2, 3)]:
+        g = graph([(0, 1), (1, 2), (0, 2), extra])
+        report, problems = verify_certificate(g, {(1, 2), (1, 3)}, [triangle], [{3}])
+        assert not problems and report.cover_ok
+        assert not report.matching_ok and not report.verdict
+        assert report.subset_ok == (extra == (1, 3))
 
 
 def test_random_certificates_round_trip_and_verify():

@@ -10,10 +10,12 @@ import pytest
 import blossom
 from blossom import (
     ContractionStep,
+    brute_force_maximum_matching,
     certify_maximality,
     find_maximum_matching,
     format_certificate,
     graph,
+    is_matching,
     parse_certificate,
 )
 from blossom.cli import (
@@ -229,7 +231,7 @@ def test_verify_replays_contraction_lines(tmp_path):
     code, out, err = _run("verify", paths)
     assert code == EXIT_VERIFY and err == ""
     problems = [line for line in out.splitlines() if line.startswith("certificate problem: ")]
-    assert len(problems) == 1 and problems[0].endswith(" already occurs in the graph")
+    assert problems == ["certificate problem: contraction 1: its target already occurs in the graph"]
     assert "maximality certified: no" in out and out.endswith("verdict: FAIL\n")
 
 
@@ -499,12 +501,21 @@ def _mutate(rng: random.Random, text: str) -> bytes:
 def test_fuzzed_inputs_never_escape(tmp_path):
     code, matching_text, _, cpath = _solve(tmp_path, DEMO12_TEXT, certificate=True)
     assert code == EXIT_OK
-    texts = [DEMO12_TEXT, matching_text, cpath.read_text()]
+    # the flat certificate solve writes alternates with DEMO12's reference
+    # certificate, so x lines get fuzzed too; DEMO12's ids are 1-based already
+    cert = reference_certificate(DEMO12, DEMO12_MATCHING)
+    reference_matching = "s 5\n" + "".join(f"m {a} {b}\n" for a, b in sorted(DEMO12_MATCHING))
+    pairs = [
+        (matching_text, cpath.read_text()),
+        (reference_matching, format_certificate(cert.contractions, cert.cover)),
+    ]
     paths = [tmp_path / name for name in ("g.txt", "m.txt", "c.txt")]
     rng = random.Random(73)
     codes = set()
+    maximum = {}
     for trial in range(2000):
         bad = trial % 3
+        texts = [DEMO12_TEXT, *pairs[trial % 2]]
         for i, path in enumerate(paths):
             path.write_bytes(_mutate(rng, texts[i]) if i == bad else texts[i].encode())
         for command, args in (
@@ -515,4 +526,10 @@ def test_fuzzed_inputs_never_escape(tmp_path):
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_VERIFY), (trial, command, err)
             assert len(err.splitlines()) <= 1, (trial, command, err)
             codes.add(code)
+        if code == EXIT_OK:  # verify passed: the matching must be maximum
+            vertex_count, g = parse_graph_file(paths[0].read_text())
+            m = parse_matching_file(paths[1].read_text(), vertex_count)
+            if g not in maximum:
+                maximum[g] = len(brute_force_maximum_matching(g))
+            assert is_matching(m) and m <= g and len(m) == maximum[g], trial
     assert codes == {EXIT_OK, EXIT_PARSE, EXIT_VERIFY}

@@ -3,10 +3,17 @@ import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, capsys):
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out  # every demo narrates something
+
+
+def test_readme_library_tour_runs():
+    # the README's one python block asserts its own result and prints nothing
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
