@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .contraction import is_blossom
-from .forest import run_search
+from .forest import InvariantViolation, run_search
 from .graph import Edge, vertices
 from .matching import is_augmenting_path
 
@@ -64,21 +64,23 @@ def find_path_or_blossom(
     )
     if free is not None:
         found = AugmentingPath([free[0], free[1]])
-        assert is_augmenting_path(gset, mset, found.path)
+        if not is_augmenting_path(gset, mset, found.path):
+            raise InvariantViolation("a free edge is not an augmenting path")
         return found
     paths = run_search(gset, mset).paths
     if paths is None:
         return None
     p1, p2 = paths
     if not set(p1) & set(p2):
-        assert p1[-1] != p2[-1]
         found = AugmentingPath(list(reversed(p1)) + p2)
-        assert is_augmenting_path(gset, mset, found.path)
+        if p1[-1] == p2[-1] or not is_augmenting_path(gset, mset, found.path):
+            raise InvariantViolation("paths in two trees do not join into an augmenting path")
         return found
-    assert p1[-1] == p2[-1]
     pfx1, pfx2 = longest_disjoint_prefixes(p1, p2)
-    assert pfx1 is not None and pfx2 is not None
+    if p1[-1] != p2[-1] or pfx1 is None or pfx2 is None:
+        raise InvariantViolation("paths in one tree do not end at one root")
     stem = list(reversed(p1[len(pfx1) :]))
     cycle = list(reversed(pfx1)) + pfx2
-    assert is_blossom(gset, mset, stem, cycle)
+    if not is_blossom(gset, mset, stem, cycle):
+        raise InvariantViolation("paths in one tree do not close a blossom")
     return FoundBlossom(stem, cycle)

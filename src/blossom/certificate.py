@@ -12,7 +12,7 @@ cover, for a cover of a contracted graph; verification replays it first.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .contraction import ContractionMap, is_blossom, quotient_graph
 from .graph import Edge, graph, vertices
@@ -93,37 +93,6 @@ class VerificationReport:
         )
 
 
-def verify_maximum(
-    g: Iterable[Edge], matching: Iterable[Edge], cover: Iterable[Iterable[int]]
-) -> VerificationReport:
-    """Check a matching against an odd set cover of the same graph.
-
-    A true verdict means the matching is a matching inside the graph and the
-    cover is valid with capacity equal to the matching size, which proves the
-    matching maximum. Failures land in the report; nothing is raised. Pairs
-    may come in either order; both sets are canonicalised only when the
-    matching fails either check as given.
-    """
-    gset = frozenset(g)
-    mset = frozenset(matching)
-    matching_ok, subset_ok = is_matching(mset), mset <= gset
-    if not (matching_ok and subset_ok):
-        try:
-            gset, mset = graph(gset), graph(mset)
-        except ValueError:  # a self-loop, which fails the checks as it is
-            pass
-        matching_ok, subset_ok = is_matching(mset), mset <= gset
-    sets = [frozenset(s) for s in cover]
-    cap = sum(capacity(s) for s in sets if len(s) % 2 == 1)
-    return VerificationReport(
-        matching_ok=matching_ok,
-        subset_ok=subset_ok,
-        cover_ok=is_odd_set_cover(sets, gset),
-        capacity=cap,
-        matching_size=len(mset),
-    )
-
-
 @dataclass(frozen=True)
 class ContractionStep:
     """One recorded contraction: the blossom found and the fresh vertex its
@@ -152,38 +121,57 @@ def verify_certificate(
 ) -> tuple[VerificationReport, list[str]]:
     """Replay the contraction history and verify the cover on the result.
 
-    ``matching_ok`` and ``subset_ok`` describe the given matching in the
-    given graph, by ``verify_maximum``'s rule, whatever the history. Each
-    step must be a genuine blossom of the graph it was found in, contracted
-    to a fresh vertex; the first that is not is the one problem, named by its
-    1-based position. The cover is checked against the final graph and
-    matching. Contracting a blossom keeps a matching a matching, so a true
-    verdict with no problems proves the given matching maximum. The replay
-    looks pairs up as given, so a history needs canonical ``(min, max)``
-    pairs; with no contractions either order verifies.
+    ``matching_ok`` and ``subset_ok`` say whether the given matching is a
+    matching inside the given graph. Pairs may come in either order: both
+    sets are taken as given, and canonicalised as ``(min, max)`` pairs when
+    either check fails as given or a history is to be replayed. Each step
+    must be a genuine blossom of the graph it was found in, contracted to a
+    fresh vertex; the first that is not is the one problem, named by its
+    1-based position. The cover is checked against the final graph, and
+    ``matching_size`` is the final matching's. Failures land in the report;
+    nothing is raised. Contracting a blossom keeps a matching a matching, so
+    a true verdict with no problems proves the given matching maximum.
     """
     gset, mset = frozenset(g), frozenset(matching)
-    cur_g, cur_m = gset, mset
+    matching_ok, subset_ok = is_matching(mset), mset <= gset
+    if contractions or not (matching_ok and subset_ok):
+        try:
+            gset, mset = graph(gset), graph(mset)
+        except ValueError:  # a self-loop: the sets stay as given
+            pass
+        matching_ok, subset_ok = is_matching(mset), mset <= gset
     problems: list[str] = []
     for i, step in enumerate(contractions, start=1):
-        vs = vertices(cur_g)
+        vs = vertices(gset)
         if step.fresh in vs:
             problems.append(f"contraction {i}: its target already occurs in the graph")
             break
-        if not is_blossom(cur_g, cur_m, step.stem, step.cycle):
+        if not is_blossom(gset, mset, step.stem, step.cycle):
             problems.append(
                 f"contraction {i}: its stem and cycle are not a blossom "
                 f"of the graph it was contracted in"
             )
             break
         cmap = ContractionMap(frozenset(vs - set(step.cycle)), step.fresh)
-        cur_g = quotient_graph(cmap, cur_g)
-        cur_m = quotient_graph(cmap, cur_m)
-    report = verify_maximum(cur_g, cur_m, cover)
-    if contractions:  # the flags describe the given matching, not its quotient
-        given = verify_maximum(gset, mset, ())
-        report = replace(report, matching_ok=given.matching_ok, subset_ok=given.subset_ok)
+        gset, mset = quotient_graph(cmap, gset), quotient_graph(cmap, mset)
+    sets = [frozenset(s) for s in cover]
+    report = VerificationReport(
+        matching_ok=matching_ok,
+        subset_ok=subset_ok,
+        cover_ok=is_odd_set_cover(sets, gset),
+        capacity=sum(capacity(s) for s in sets if len(s) % 2 == 1),
+        matching_size=len(mset),
+    )
     return report, problems
+
+
+def verify_maximum(
+    g: Iterable[Edge], matching: Iterable[Edge], cover: Iterable[Iterable[int]]
+) -> VerificationReport:
+    """Check a matching against an odd set cover of the same graph:
+    ``verify_certificate`` with no contraction history. A true verdict
+    proves the matching maximum."""
+    return verify_certificate(g, matching, (), cover)[0]
 
 
 def parse_natural(token: str) -> int:

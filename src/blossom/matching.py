@@ -65,11 +65,15 @@ def augment(matching: Iterable[Edge], path: Sequence[int]) -> frozenset[Edge]:
     """Augment the matching along a path: the symmetric difference with the
     path's edges, one edge larger than the input.
 
-    The caller must supply a genuine augmenting path; this is checked with
-    assertions only, since the search already guarantees it.
+    Raises ValueError when the path does not augment the matching, and
+    InvariantViolation when the result is not a matching one edge larger.
     """
     mset = frozenset(matching)
-    assert _matching_augmenting(mset, path), "augment called without an augmenting path"
+    if not _matching_augmenting(mset, path):
+        raise ValueError("the path does not augment the matching")
     out = mset ^ frozenset(edges_of_path(path))
-    assert is_matching(out) and len(out) == len(mset) + 1
+    if not (is_matching(out) and len(out) == len(mset) + 1):
+        from .forest import InvariantViolation  # forest imports this module
+
+        raise InvariantViolation("augmenting did not give a matching one edge larger")
     return out

@@ -131,14 +131,14 @@ def _renumber(
 
 def _augment_phase(
     adj: list[list[int]], mate: list[int], ids: list[int], trace: Trace | None
-) -> tuple[list[int], list[int]] | None:
+) -> tuple[list[int], dict[int, list[int]]] | None:
     """Grow one alternating forest from every unmatched vertex, contracting
     each blossom that closes. An edge that joins two live trees augments
     along their root paths and kills both trees: their vertices are no
     longer scanned and edges into them are skipped, while the rest of the
     forest keeps growing. Returns None when the matching grew, and otherwise
-    the final ``label`` and ``base`` arrays of the forest, which then has no
-    dead tree.
+    the forest's final ``label`` array and ``members`` lists, which then
+    describe every outer blossom, since no tree is dead.
 
     ``parent[x]`` is the vertex an odd vertex was entered from. Contracting
     a blossom also sets it on the blossom's even vertices, pointing across
@@ -215,7 +215,7 @@ def _augment_phase(
                 for i in odd:
                     label[i], root[i] = EVEN, r
                 queue += odd
-    return None if dead else (label, base)
+    return None if dead else (label, members)
 
 
 def _blossom_base(
@@ -305,21 +305,17 @@ def certify_maximality(
 
 
 def _certificate(
-    mate: list[int], ids: list[int], label: list[int], base: list[int]
+    mate: list[int], ids: list[int], label: list[int], members: dict[int, list[int]]
 ) -> MaximalityCertificate:
     """The odd set cover read off the forest of a phase that failed to
     augment the matching ``mate``, given over the indices of the input ids
     in sorted order together with those ids and the forest's final
-    ``label`` and ``base`` arrays: a singleton per odd vertex, the vertex
-    set of each outer blossom (even vertices sharing a base, more than one),
-    and ``leftover_cover``'s sets for the matched vertices no tree reached.
-    No contractions are recorded."""
+    ``label`` array and ``members`` lists: a singleton per odd vertex, the
+    vertex set of each outer blossom (the even vertices of one base, more
+    than one), and ``leftover_cover``'s sets for the matched vertices no
+    tree reached. No contractions are recorded."""
     cover = [frozenset((ids[v],)) for v, lab in enumerate(label) if lab == ODD]
-    blossoms: dict[int, list[int]] = {}
-    for v, lab in enumerate(label):
-        if lab == EVEN:
-            blossoms.setdefault(base[v], []).append(ids[v])
-    cover += [frozenset(vs) for vs in blossoms.values() if len(vs) > 1]
+    cover += [frozenset(ids[v] for v in vs) for vs in members.values()]
     # In index order the pairs come sorted, as leftover_cover needs.
     cover += leftover_cover(
         [(ids[v], ids[w]) for v, w in enumerate(mate) if v < w and not label[v]]

@@ -27,6 +27,11 @@ from support import (
 )
 
 
+def reversed_pairs(edges):
+    """The edges with every pair given as (larger, smaller)."""
+    return [(b, a) for a, b in edges]
+
+
 def test_capacity():
     assert capacity({7}) == 1
     assert capacity({1, 2, 3, 4, 5}) == 2
@@ -150,6 +155,10 @@ def test_certificate_round_trip():
         assert cover == cert.cover
     report, problems = verify_certificate(DEMO12, DEMO12_MATCHING, steps, cover)
     assert report.verdict and not problems
+    # the history replays alike with the pairs of either set, or both, reversed
+    g, m = reversed_pairs(DEMO12), reversed_pairs(DEMO12_MATCHING)
+    for given in [(g, DEMO12_MATCHING), (DEMO12, m), (g, m)]:
+        assert verify_certificate(*given, steps, cover) == (report, problems)
 
 
 def test_parse_certificate_rejects_junk():
@@ -204,3 +213,5 @@ def test_random_certificates_round_trip_and_verify():
             steps, cover = parse_certificate(text, offset=1)
             report, problems = verify_certificate(g, m, steps, cover)
             assert report.verdict and not problems
+            flipped = verify_certificate(reversed_pairs(g), reversed_pairs(m), steps, cover)
+            assert flipped == (report, problems)

@@ -163,8 +163,8 @@ def test_invariant_checker_catches_corruption():
         )
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             check_search_invariants(graph(g), graph(m), state)
-    # "a root-ward chain repeats a vertex" is pre-empted: a chain that comes
-    # back to a vertex goes round a parent cycle, which follow() reports first
+    # a root-ward chain that comes back to a vertex goes round a parent
+    # cycle, which follow() reports
     state = SearchState(set(), {1: 2, 2: 1}, {1: Label(1, E), 2: Label(1, O)})
     with pytest.raises(InvariantViolation, match="^parent relation has a cycle$"):
         check_search_invariants(graph([(1, 2)]), frozenset(), state)

@@ -92,7 +92,7 @@ def test_augment_examples():
 
 
 def test_augment_rejects_non_augmenting_input():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         augment(graph([(2, 3)]), [1, 2])  # ends at the matched vertex 2
 
 
