@@ -9,8 +9,8 @@ from typing import TypeVar
 
 from .contraction import is_blossom
 from .forest import InvariantViolation, run_search
-from .graph import Edge, vertices
-from .matching import is_augmenting_path
+from .graph import Edge, graph, vertices
+from .matching import _checked_matching, is_augmenting_path
 
 T = TypeVar("T")
 
@@ -50,18 +50,17 @@ def find_path_or_blossom(
 ) -> AugmentingPath | FoundBlossom | None:
     """Find an augmenting path or a blossom, or None when neither exists.
 
-    An edge with both endpoints unmatched is itself an augmenting path and is
-    returned directly (smallest such edge first). Otherwise the forest search
-    runs: tips in different trees assemble into an augmenting path, tips in
-    the same tree into a blossom whose cycle closes at the paths' first
-    shared vertex.
+    Raises ValueError first unless the matching is a matching inside the
+    graph. An edge with both endpoints unmatched is then itself an augmenting
+    path and is returned directly (smallest such edge first). Otherwise the
+    forest search runs: tips in different trees assemble into an augmenting
+    path, tips in the same tree into a blossom whose cycle closes at the
+    paths' first shared vertex.
     """
-    gset = frozenset(g)
-    mset = frozenset(matching)
+    gset = graph(g)
+    mset = _checked_matching(gset, matching)
     matched = vertices(mset)
-    free = min(
-        (e for e in gset if e[0] not in matched and e[1] not in matched), default=None
-    )
+    free = min((e for e in gset if e[0] not in matched and e[1] not in matched), default=None)
     if free is not None:
         found = AugmentingPath([free[0], free[1]])
         if not is_augmenting_path(gset, mset, found.path):

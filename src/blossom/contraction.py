@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-from .graph import Edge, edge, edges_of_path, is_path, is_simple, neighbours, vertices
+from .graph import Edge, edge, edges_of_path, graph, is_path, is_simple, neighbours, vertices
 from .matching import is_alternating
 
 T = TypeVar("T")
@@ -74,12 +74,10 @@ def is_blossom(
     """
     if not is_odd_cycle(cycle):
         return False
-    whole = list(stem) + list(cycle)
-    if any(a == b for a, b in zip(whole, whole[1:])):
-        return False
     if not is_simple(list(stem) + list(cycle[:-1])):
         return False
-    mset = frozenset(matching)
+    whole = list(stem) + list(cycle)
+    mset = graph(matching)
     if not is_alternating(lambda e: e not in mset, lambda e: e in mset, edges_of_path(whole)):
         return False
     if whole[0] in vertices(mset):
@@ -119,7 +117,7 @@ def cycle_segment(
     t = cycle_neighbour(g, cycle, v)
     if t is None:
         raise ValueError(f"vertex {v} has no neighbour on the cycle")
-    mset = frozenset(matching)
+    mset = graph(matching)
     forward = prefix_until(lambda x: x == t, cycle)
     forward_edges = edges_of_path(forward)
     if not forward_edges or forward_edges[-1] in mset:
@@ -142,7 +140,7 @@ def splice_cycle(
     """
     head = list(head)
     tail = list(tail)
-    mset = frozenset(matching)
+    mset = graph(matching)
     if not head:
         return cycle_segment(cycle, mset, tail[0], g) + tail
     if not tail:

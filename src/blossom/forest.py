@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .graph import Edge, adjacency, edge, is_path, vertices
-from .matching import is_matching
+from .graph import Edge, adjacency, edge, graph, is_path, vertices
+from .matching import _checked_matching
 
 
 class Parity(Enum):
@@ -92,17 +92,14 @@ def run_search(
     * other endpoint odd: nothing further, a second odd-length route to it
       was found.
 
+    Raises ValueError unless the matching is a matching inside the graph.
     Selection is by smallest pair, and a matched vertex has a unique partner,
     so runs are fully deterministic. With ``check_invariants`` the state is
     re-validated after every iteration (quadratic, for tests). ``trace``
     receives one line per examined edge.
     """
-    gset = frozenset(g)
-    mset = frozenset(matching)
-    if not is_matching(mset):
-        raise ValueError("the given edge set is not a matching")
-    if not mset <= gset:
-        raise ValueError("the matching has edges outside the graph")
+    gset = graph(g)
+    mset = _checked_matching(gset, matching)
     adj = adjacency(gset)
     partner: dict[int, int] = {}
     for a, b in mset:
@@ -167,8 +164,7 @@ def build_odd_set_cover(
     ``leftover_cover`` adds the sets for them. The capacities then sum to
     exactly the matching size.
     """
-    gset = frozenset(g)
-    mset = frozenset(matching)
+    gset, mset = graph(g), graph(matching)
     labels, examined = state.labels, state.examined
     for e in gset - examined:
         for x in e:
@@ -200,8 +196,7 @@ def check_search_invariants(
 ) -> None:
     """Raise InvariantViolation unless every structural property of the
     search forest holds. Quadratic; meant for tests and debugging."""
-    gset = frozenset(g)
-    mset = frozenset(matching)
+    gset, mset = graph(g), graph(matching)
     labels, parent, examined = state.labels, state.parent, state.examined
     vs = vertices(gset)
 

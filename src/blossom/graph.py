@@ -3,7 +3,11 @@
 Vertices are non-negative integers. An edge is stored canonically as a
 ``(min, max)`` tuple so that plain Python sets give set-of-sets semantics
 with deterministic iteration. The vertex set of a graph is derived as the
-union of its edges; isolated vertices are not representable.
+union of its edges; isolated vertices are not representable. A public
+function whose answer could depend on pair order reads each graph and
+matching through ``graph`` at entry, and returns canonical edge sets.
+``verify_certificate`` alone reads its sets as given first: they are nearly
+always canonical, and ``graph``'s check of that would cost a third of its time.
 """
 
 from __future__ import annotations
@@ -72,11 +76,11 @@ def is_path(g: Iterable[Edge], path: Sequence[int]) -> bool:
     """
     if len(path) == 0:
         return True
-    gset = g if isinstance(g, frozenset) else frozenset(g)
+    gset = graph(g)
     if len(path) == 1:
         return path[0] in vertices(gset)
     for a, b in zip(path, path[1:]):
-        if a == b or ((a, b) if a < b else (b, a)) not in gset:
+        if ((a, b) if a < b else (b, a)) not in gset:
             return False
     return True
 

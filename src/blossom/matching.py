@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from typing import TypeVar
 
-from .graph import Edge, edges_of_path, is_path, is_simple, vertices
+from .graph import Edge, edges_of_path, graph, is_path, is_simple, vertices
 
 T = TypeVar("T")
 
@@ -21,6 +21,16 @@ def is_matching(edges: Iterable[Edge]) -> bool:
     return True
 
 
+def _checked_matching(gset: frozenset[Edge], matching: Iterable[Edge]) -> frozenset[Edge]:
+    """The matching through ``graph``; ValueError unless it is one inside ``gset``."""
+    mset = graph(matching)
+    if not is_matching(mset):
+        raise ValueError("the given edge set is not a matching")
+    if not mset <= gset:
+        raise ValueError("the matching has edges outside the graph")
+    return mset
+
+
 def is_alternating(
     first: Callable[[T], bool], second: Callable[[T], bool], items: Sequence[T]
 ) -> bool:
@@ -34,7 +44,7 @@ def is_alternating(
 
 
 def _matching_augmenting(matching: frozenset[Edge], path: Sequence[int]) -> bool:
-    if len(path) < 2 or not is_simple(path):
+    if len(path) < 2 or not is_simple(path) or not is_matching(matching):
         return False
     path_edges = edges_of_path(path)
     if not is_alternating(lambda e: e not in matching, lambda e: e in matching, path_edges):
@@ -48,17 +58,14 @@ def is_augmenting_path(g: Iterable[Edge], matching: Iterable[Edge], path: Sequen
 
     That is: a simple path of the graph with at least two vertices whose
     edges alternate starting outside the matching, ending at two unmatched
-    vertices.
+    vertices. False when the edge set is not a matching.
     """
-    if any(a == b for a, b in zip(path, path[1:])):
-        return False
-    mset = frozenset(matching)
-    return _matching_augmenting(mset, path) and is_path(g, path)
+    return _matching_augmenting(graph(matching), path) and is_path(g, path)
 
 
 def symmetric_difference(a: Iterable[Edge], b: Iterable[Edge]) -> frozenset[Edge]:
     """Edges in exactly one of the two sets."""
-    return frozenset(a) ^ frozenset(b)
+    return graph(a) ^ graph(b)
 
 
 def augment(matching: Iterable[Edge], path: Sequence[int]) -> frozenset[Edge]:
@@ -68,7 +75,7 @@ def augment(matching: Iterable[Edge], path: Sequence[int]) -> frozenset[Edge]:
     Raises ValueError when the path does not augment the matching, and
     InvariantViolation when the result is not a matching one edge larger.
     """
-    mset = frozenset(matching)
+    mset = graph(matching)
     if not _matching_augmenting(mset, path):
         raise ValueError("the path does not augment the matching")
     out = mset ^ frozenset(edges_of_path(path))

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graph import Edge, adjacency, vertices
+from .graph import Edge, adjacency, graph, vertices
+from .matching import _checked_matching
 
 MAX_ORACLE_VERTICES = 16
 MAX_ORACLE_EDGES = 24
@@ -28,7 +29,7 @@ def brute_force_maximum_matching(g: Iterable[Edge]) -> frozenset[Edge]:
     Ties are always broken towards the lexicographically smallest edge set,
     so results are reproducible.
     """
-    edges_sorted = sorted(frozenset(g))
+    edges_sorted = sorted(graph(g))
     vs = sorted(vertices(edges_sorted))
     if len(vs) <= MAX_ORACLE_VERTICES:
         return _dp_maximum_matching(edges_sorted, vs)
@@ -110,18 +111,18 @@ def brute_force_augmenting_path(
     alternating paths from the unmatched vertices, or None when no
     augmenting path exists.
 
-    Limited to graphs with at most 16 vertices. Start vertices are tried in
-    increasing order and neighbours extended in increasing order, so the
-    first path found is always the same.
+    Limited to matchings inside graphs with at most 16 vertices. Start
+    vertices are tried in increasing order and neighbours extended in
+    increasing order, so the first path found is always the same.
     """
-    gset = frozenset(g)
+    gset = graph(g)
     vs = sorted(vertices(gset))
     if len(vs) > MAX_ORACLE_VERTICES:
         raise OracleLimitError(
             f"graph has {len(vs)} vertices; the brute-force limit is "
             f"{MAX_ORACLE_VERTICES} vertices"
         )
-    mset = frozenset(matching)
+    mset = _checked_matching(gset, matching)
     partner: dict[int, int] = {}
     for a, b in mset:
         partner[a] = b

@@ -14,7 +14,7 @@ from .certificate import MaximalityCertificate
 from .contraction import ContractionMap, fresh_vertex, lift_path, quotient_graph
 from .forest import InvariantViolation, Trace, leftover_cover
 from .graph import Edge, graph, vertices
-from .matching import is_matching
+from .matching import _checked_matching
 
 
 def find_augmenting_path(
@@ -29,7 +29,7 @@ def find_augmenting_path(
     allocated past the current maximum id, so nested contractions can never
     collide with original vertices.
     """
-    cur_g, cur_m = frozenset(g), frozenset(matching)
+    cur_g, cur_m = graph(g), graph(matching)
     # (graph, matching, cycle, fresh vertex) per contraction, outermost first
     levels: list[tuple[frozenset[Edge], frozenset[Edge], list[int], int]] = []
     bound = 0
@@ -289,11 +289,7 @@ def certify_maximality(
     ValueError when the edge set is not a matching inside the graph.
     """
     gset, ids, index, adj = _renumber(g)
-    mset = graph(matching)
-    if not is_matching(mset):
-        raise ValueError("the given edge set is not a matching")
-    if not mset <= gset:
-        raise ValueError("the matching has edges outside the graph")
+    mset = _checked_matching(gset, matching)
     mate = [-1] * len(ids)
     for a, b in mset:
         i, j = index[a], index[b]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import blossom.certificate
 from blossom import (
     ContractionStep,
     capacity,
@@ -91,6 +92,28 @@ def test_is_odd_set_cover_hand_cases():
     assert not is_odd_set_cover([{1, 2, 3}, {4, 5, 6}], graph([(1, 2), (3, 4)]))
     assert not is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 7}], graph([(1, 6)]))
     assert is_odd_set_cover([{1, 2, 3}, {4, 5, 6}, {4}], graph([(1, 2), (3, 4)]))
+
+
+def test_disjoint_larger_sets_take_the_one_owner_path(monkeypatch):
+    # the check for covers whose larger sets overlap is the only code in the
+    # module that calls all(); covers with disjoint larger sets, such as the
+    # engine's, must not reach it
+    calls = []
+
+    def spy(items):
+        calls.append(1)
+        return all(items)
+
+    monkeypatch.setattr(blossom.certificate, "all", spy, raising=False)
+    g = graph([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    assert is_odd_set_cover([{1, 2, 3}, {4, 5, 6}, {3}], g)
+    assert not is_odd_set_cover([{1, 2, 3}, {4, 5, 6}], g)
+    cert = certify_maximality(DEMO12, DEMO12_MATCHING)
+    assert any(len(s) > 1 for s in cert.cover)
+    assert is_odd_set_cover(cert.cover, DEMO12)
+    assert calls == []
+    assert is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 4}], g)
+    assert calls == [1]
 
 
 def test_verify_maximum_examples():

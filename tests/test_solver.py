@@ -17,6 +17,7 @@ from blossom import (
     edges_of_path,
     find_augmenting_path,
     find_maximum_matching,
+    find_path_or_blossom,
     format_certificate,
     graph,
     is_augmenting_path,
@@ -26,7 +27,7 @@ from blossom import (
     verify_maximum,
     vertices,
 )
-from blossom.solver import _blossom_base, _flip_to_root, _link_blossom_path
+from blossom.solver import _blossom_base, _flip_to_root, _link_blossom_path, _renumber
 from support import (
     DEMO7,
     DEMO7_MATCHING,
@@ -262,11 +263,30 @@ def test_certify_agrees_with_bruteforce():
 
 
 def test_certify_rejects_bad_matchings():
-    with pytest.raises(ValueError):
-        certify_maximality(PATH4, graph([(1, 2), (2, 3)]))
-    # (2, 3) is a free edge of the graph, yet the matching is checked first
-    with pytest.raises(ValueError):
-        certify_maximality(PATH4, graph([(1, 4)]))
+    # (2, 3) and (3, 4) are free edges of their graphs, yet the matching is
+    # checked first
+    free_edge = graph([(1, 2), (3, 4), (4, 5)])
+    for fn in (certify_maximality, find_path_or_blossom, find_augmenting_path):
+        with pytest.raises(ValueError, match="^the given edge set is not a matching$"):
+            fn(PATH4, graph([(1, 2), (2, 3)]))
+        with pytest.raises(ValueError, match="^the matching has edges outside the graph$"):
+            fn(PATH4, graph([(1, 4)]))
+        with pytest.raises(ValueError, match="^the given edge set is not a matching$"):
+            fn(free_edge, [(1, 2), (2, 9)])
+        with pytest.raises(ValueError, match="^the matching has edges outside the graph$"):
+            fn(free_edge, [(2, 1), (9, 8)])
+
+
+def test_ids_0_to_n_minus_1_index_themselves():
+    # ids 0..n-1 skip the id-to-index dict: the id list is the index
+    gset, ids, index, adj = _renumber([(1, 0), (2, 1), (0, 2), (3, 2)])
+    assert gset == graph([(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert ids == [0, 1, 2, 3] and index is ids
+    assert adj == [[1, 2], [0, 2], [0, 1, 3], [2]]
+    # with 2 unused the ids need the dict
+    _, ids, index, adj = _renumber([(1, 0), (3, 1)])
+    assert ids == [0, 1, 3] and index == {0: 0, 1: 1, 3: 2}
+    assert adj == [[1], [0, 2], [1]]
 
 
 def refuse_everywhere(monkeypatch, originals, message: str) -> set[str]:
