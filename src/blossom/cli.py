@@ -63,10 +63,15 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
     """Parse the DIMACS edge dialect, whitespace-tolerantly, into the declared
     vertex count and the graph with 0-based ids; duplicate edges collapse.
     The declared edge count must be a natural number and is otherwise
-    ignored."""
+    ignored. A well-formed file is read by ``_parse_well_formed``; any other
+    is read again line by line, and its first fault is reported."""
+    lines = text.splitlines()
+    parsed = _parse_well_formed(lines)
+    if parsed is not None:
+        return parsed
     vertex_count: int | None = None
     edges: set[Edge] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -90,6 +95,44 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
     if vertex_count is None:
         raise GraphFormatError(0, "missing 'p edge' problem line")
     return vertex_count, frozenset(edges)
+
+
+def _parse_well_formed(lines: list[str]) -> tuple[int, frozenset[Edge]] | None:
+    """``parse_graph_file``'s result for a file that it accepts, or None at
+    the first line that it might refuse. The checks of ``_endpoints`` and
+    of the ``p`` line are made inline, with no call of a Python function
+    per line, since they run once per edge."""
+    vertex_count = -1
+    edges: set[Edge] = set()
+    add = edges.add
+    try:
+        for raw in lines:
+            tokens = raw.split()
+            if len(tokens) == 3 and tokens[0] == "e":
+                u, v = tokens[1], tokens[2]
+                if not (u.isascii() and u.isdigit() and v.isascii() and v.isdigit()):
+                    return None
+                a, b = int(u) - 1, int(v) - 1
+                if a > b:
+                    a, b = b, a
+                if not 0 <= a < b < vertex_count:
+                    return None
+                add((a, b))
+            elif not tokens or tokens[0] == "c":
+                continue
+            elif (
+                len(tokens) == 4
+                and tokens[:2] == ["p", "edge"]
+                and vertex_count < 0
+                and all(t.isascii() and t.isdigit() for t in tokens[2:])
+            ):
+                vertex_count = int(tokens[2])
+                int(tokens[3])  # the edge count is read only to be checked
+            else:
+                return None
+    except ValueError:  # a number too long for int(), which parse_natural refuses
+        return None
+    return (vertex_count, frozenset(edges)) if vertex_count >= 0 else None
 
 
 def parse_matching_file(text: str, vertex_count: int) -> frozenset[Edge]:

@@ -137,9 +137,13 @@ def splice_cycle(
 
     Which of the four joins applies depends on whether head or tail is empty
     and on whether the contracted vertex was entered through a matching edge.
+    Raises ValueError when both are empty: a path that is only the
+    contracted vertex has no edge to lift.
     """
     head = list(head)
     tail = list(tail)
+    if not head and not tail:
+        raise ValueError("the path is only the contracted vertex; there is no edge to lift")
     mset = graph(matching)
     if not head:
         return cycle_segment(cycle, mset, tail[0], g) + tail

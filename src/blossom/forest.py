@@ -88,7 +88,9 @@ def run_search(
     * other endpoint unlabelled: it is matched, so label it odd and its
       matching partner even, record parents, and mark the matching edge
       examined as well;
-    * other endpoint even: report the two root-ward paths from the tips;
+    * other endpoint even: report the two root-ward paths from the tips,
+      and stop before marking that edge examined, so the state returned
+      still meets ``check_search_invariants``;
     * other endpoint odd: nothing further, a second odd-length route to it
       was found.
 
@@ -126,8 +128,12 @@ def run_search(
         e = edge(v1, v2)
         if e in examined:
             continue
-        examined.add(e)
         found = labels.get(v2)
+        if found is not None and found.parity is Parity.EVEN:
+            if trace is not None:
+                trace(f"found {v1} {v2}")
+            return SearchResult((follow(parent, v1), follow(parent, v2)), state)
+        examined.add(e)
         if found is None:
             v3 = partner[v2]
             examined.add(edge(v2, v3))
@@ -142,13 +148,8 @@ def run_search(
                     f"parent {v2} {v1} parent {v3} {v2}"
                 )
             open_candidates(v3)
-        elif found.parity is Parity.EVEN:
-            if trace is not None:
-                trace(f"found {v1} {v2}")
-            return SearchResult((follow(parent, v1), follow(parent, v2)), state)
-        else:
-            if trace is not None:
-                trace(f"skip {v1} {v2}")
+        elif trace is not None:
+            trace(f"skip {v1} {v2}")
         if check_invariants:
             check_search_invariants(gset, mset, state)
     return SearchResult(None, state)

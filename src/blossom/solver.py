@@ -62,12 +62,12 @@ def find_maximum_matching(
 ) -> frozenset[Edge]:
     """A maximum-cardinality matching of the graph.
 
-    The vertices are renumbered 0..n-1 in sorted order once, and a greedy
-    matching is grown first. Each phase then grows one alternating forest
-    rooted at every unmatched vertex, in sorted order. An examined edge that
-    joins two live trees augments the matching along their root paths, and
-    both trees are dead for the rest of the phase, so one phase augments
-    along many vertex-disjoint paths. A blossom closed on the way is
+    The vertices are indexed once, in increasing order (see ``_renumber``),
+    and a greedy matching is grown first. Each phase then grows one
+    alternating forest rooted at every unmatched vertex, in sorted order. An
+    examined edge that joins two live trees augments the matching along
+    their root paths, and both trees are dead for the rest of the phase, so
+    one phase augments along many vertex-disjoint paths. A blossom closed on the way is
     contracted in place, by relabelling the base of its vertices. The solve
     ends after the first phase that does not augment. ``trace`` receives one
     record per examined edge, in the layouts ``run_search`` uses and with
@@ -106,27 +106,82 @@ def _solve(
 def _renumber(
     g: Iterable[Edge],
 ) -> tuple[frozenset[Edge], list[int], dict[int, int] | list[int], list[list[int]]]:
-    """The graph's canonical edge set, its vertex ids in sorted order, the
-    index 0..n-1 of each id in that order, and the sorted adjacency lists
-    over the indices. When the ids are exactly 0..n-1 each is its own index,
-    and the index is ``ids`` itself: a list subscripts faster than a range."""
-    gset = graph(g)
+    """The graph's canonical edge set, the vertex id of each index 0..n-1 in
+    increasing order, the index of each id, and the sorted adjacency lists
+    over the indices.
+
+    A frozenset is read in one loop (``_direct_adjacency``) that does
+    ``graph()``'s canonical check and builds the adjacency as it goes. When
+    every id lies in 0..4|E|-1, each id is its own index, and the index is
+    ``ids`` itself: a list subscripts faster than a range. An id in that
+    range that no edge uses is an isolated vertex. It is an unmatched root
+    with no edges, so it changes neither the matching, the cover nor the
+    trace. Any other input goes through ``graph()`` first, and the loop runs
+    again on its result. A negative id, or one past the bound, indexes its
+    ids in sorted order through a dict.
+    """
+    gset = g
+    while True:
+        if type(gset) is frozenset:
+            direct = _direct_adjacency(gset)
+            if direct is not None:
+                ids, adj = direct
+                return gset, ids, ids, adj
+        canonical = graph(gset)
+        if canonical is gset:
+            break
+        gset = canonical
     ids = sorted(set(chain.from_iterable(gset)))
-    n = len(ids)
-    adj: list[list[int]] = [[] for _ in ids]
-    if not n or ids[0] == 0 and ids[-1] == n - 1:
-        index: dict[int, int] | list[int] = ids
-        for a, b in gset:
-            adj[a].append(b)
-            adj[b].append(a)
-    else:
-        index = {v: i for i, v in enumerate(ids)}
-        for a, b in gset:
-            adj[index[a]].append(index[b])
-            adj[index[b]].append(index[a])
+    index = {v: i for i, v in enumerate(ids)}
+    adj = [[] for _ in ids]
+    for a, b in gset:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
     for ns in adj:
         ns.sort()
     return gset, ids, index, adj
+
+
+def _direct_adjacency(gset: frozenset) -> tuple[list[int], list[list[int]]] | None:
+    """The ids 0..n-1 and the sorted adjacency lists of a frozenset whose
+    members are all ``(a, b)`` tuples with ``0 <= a < b < 4 * len(gset)``,
+    where n - 1 is the largest id; None for any other frozenset.
+
+    The adjacency lists hold one fresh int per vertex, made in index order
+    alongside the lists: the phases run faster over these than over the
+    graph's own ints, which lie scattered in memory and may differ from pair
+    to pair. ``ids`` holds the graph's own int for each vertex with edges,
+    so that the matching and cover are built from the graph's ints, not from
+    copies: a set lookup that meets the same object skips comparing values."""
+    bound = 4 * len(gset)
+    adj: list[list[int]] = []
+    index: list[int] = []
+    ids: list[int] = []
+    n = 0
+    try:
+        for e in gset:
+            if type(e) is not tuple:
+                return None
+            a, b = e
+            if not 0 <= a < b:
+                return None
+            if b >= n:
+                if b >= bound:
+                    return None
+                adj += [[] for _ in range(n, b + 1)]
+                index += range(n, b + 1)
+                ids += index[n:]
+                n = b + 1
+            ids[a] = a
+            ids[b] = b
+            adj[a].append(index[b])
+            adj[b].append(index[a])
+    except (TypeError, ValueError):
+        # not a pair of ints: graph() raises, or the dict path sorts them
+        return None
+    for ns in adj:
+        ns.sort()
+    return ids, adj
 
 
 def _augment_phase(

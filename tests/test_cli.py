@@ -117,6 +117,30 @@ def test_numbers_are_ascii_digits_only():
                 parse_certificate(text, offset=1)
 
 
+def _parse_outcome(text: str) -> tuple:
+    try:
+        return "parsed", parse_graph_file(text)
+    except GraphFormatError as exc:
+        return "refused", exc.line_no, str(exc)
+
+
+def test_well_formed_files_parse_as_the_checking_loop_does(monkeypatch):
+    # parse_graph_file reads a well-formed file in one loop with its checks
+    # inline; the checking loop alone must give every result and message
+    rng = random.Random(74)
+    texts = [dimacs(n, random_graph(rng, n, 0.5)) for n in range(1, 10)]
+    texts += ["c only\n", "p edge 0 0\n", "p edge 3 1\ne 1 2\ne 2 1\n"]
+    texts += [f"p edge 4 1\ne 1 {t}\n" for t in NOT_ASCII_DIGITS + ["9" * 5000, "0", "5"]]
+    texts += [f"p edge 4 {t}\ne 1 2\n" for t in NOT_ASCII_DIGITS + ["9" * 5000]]
+    texts += [_mutate(rng, DEMO12_TEXT).decode(errors="replace") for _ in range(600)]
+    assert blossom.cli._parse_well_formed(texts[0].splitlines()) == parse_graph_file(texts[0])
+    fast = [_parse_outcome(text) for text in texts]
+    monkeypatch.setattr(blossom.cli, "_parse_well_formed", lambda lines: None)
+    assert [_parse_outcome(text) for text in texts] == fast
+    kinds = [outcome[0] for outcome in fast]
+    assert kinds.count("parsed") > 20 and kinds.count("refused") > 20
+
+
 def _solve(tmp_path, text, *, certificate=False, trace=False):
     gpath = tmp_path / "graph.txt"
     gpath.write_text(text)

@@ -132,6 +132,15 @@ def test_lift_path():
     assert lift_path([3, 4, 5, 3], DEMO7_MATCHING, [9, 10], spare, 8) == [9, 10]
 
 
+def test_lift_path_of_only_the_contracted_vertex_is_refused():
+    # no head and no tail: a ValueError, not an IndexError from the splice
+    triangle = graph([(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(ValueError, match="only the contracted vertex"):
+        lift_path([1, 2, 3, 1], graph([(1, 2)]), [9], triangle, 9)
+    with pytest.raises(ValueError, match="only the contracted vertex"):
+        splice_cycle([1, 2, 3, 1], graph([(1, 2)]), [], [], triangle)
+
+
 def test_contraction_preserves_augmenting_paths_both_ways():
     rng = random.Random(13)
     lifted = 0

@@ -97,6 +97,24 @@ def test_invariants_hold_during_random_searches():
         run_search(g, m, check_invariants=True)
 
 
+def test_invariants_hold_on_the_state_a_search_returns():
+    # a search that stops at a path leaves the joining edge unexamined
+    m = graph([(2, 3)])
+    outcome = run_search(PATH4, m)
+    assert outcome.paths == ([3, 2, 1], [4])
+    assert (3, 4) not in outcome.state.examined
+    check_search_invariants(PATH4, m, outcome.state)
+    rng = random.Random(23)
+    stopped = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 12), 0.45)
+        m = random_matching(rng, g)
+        outcome = run_search(g, m)
+        check_search_invariants(g, m, outcome.state)
+        stopped += outcome.paths is not None
+    assert stopped
+
+
 E, O = Parity.EVEN, Parity.ODD
 
 # One corrupted state per rule of check_search_invariants: (graph, matching,

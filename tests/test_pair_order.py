@@ -32,7 +32,7 @@ TAKES_EDGE_SETS = {
     "augment": lambda c, es: (es(c.m), c.path),
     "brute_force_augmenting_path": lambda c, es: (es(c.g), es(c.m)),
     "brute_force_maximum_matching": lambda c, es: (es(c.g),),
-    "build_odd_set_cover": lambda c, es: (es(c.g), es(c.m), c.state),
+    "build_odd_set_cover": lambda c, es: (es(c.g), es(c.m), c.finished),
     "certify_maximality": lambda c, es: (es(c.g), es(c.m)),
     "check_search_invariants": lambda c, es: (es(c.g), es(c.m), c.state),
     "covers": lambda c, es: (c.odd_set, next(iter(es([c.pair])))),
@@ -120,13 +120,13 @@ def make_case(rng: random.Random) -> SimpleNamespace:
     path = find_augmenting_path(g, m) if valid else None
     if path is None or rng.random() < 0.3:
         path = [rng.choice(vs) for _ in range(rng.randint(0, 4))]
-    state = cover = None
+    state = finished = cover = None
     if valid:
-        # the state of a finished search: one that stopped at a path has
-        # already marked the joining edge examined, which neither the
-        # invariant checker nor the cover builder allows
+        # the state of the search, finished or stopped at a path, for the
+        # invariant checker; the cover builder takes only a finished one
         search = run_search(g, m)
-        state = search.state if search.paths is None else None
+        state = search.state
+        finished = state if search.paths is None else None
         cert = certify_maximality(g, m)
         cover = cert and cert.cover
     if cover is None:
@@ -145,6 +145,7 @@ def make_case(rng: random.Random) -> SimpleNamespace:
         m=m,
         path=path,
         state=state,
+        finished=finished,
         cover=cover,
         v=rng.choice(vs),
         pair=rng.choice(sorted(g) or [(1, 2)]),
@@ -208,7 +209,7 @@ def test_reversed_pairs_change_no_result():
         for name, build in TAKES_EDGE_SETS.items():
             args = build(case, identity)
             if any(arg is None for arg in args):
-                continue  # no finished search, or no path through the target
+                continue  # no search or no finished one, or no path through the target
             fn = getattr(blossom, name)
             expected = outcome(fn, args)
             assert outcome(fn, build(case, es)) == expected, (name, case)

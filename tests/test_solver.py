@@ -283,10 +283,50 @@ def test_ids_0_to_n_minus_1_index_themselves():
     assert gset == graph([(0, 1), (1, 2), (0, 2), (2, 3)])
     assert ids == [0, 1, 2, 3] and index is ids
     assert adj == [[1, 2], [0, 2], [0, 1, 3], [2]]
-    # with 2 unused the ids need the dict
+    # an unused id below 4|E| is its own index too, with no edges
     _, ids, index, adj = _renumber([(1, 0), (3, 1)])
-    assert ids == [0, 1, 3] and index == {0: 0, 1: 1, 3: 2}
-    assert adj == [[1], [0, 2], [1]]
+    assert ids == [0, 1, 2, 3] and index is ids
+    assert adj == [[1], [0, 3], [], [1]]
+    _, ids, index, adj = _renumber([(0, 1), (1, 7)])
+    assert ids == list(range(8)) and index is ids and adj[7] == [1]
+    # a negative id, or one at 4|E| or past it, needs the dict
+    for edges, used in (([(-1, 0), (0, 1)], [-1, 0, 1]), ([(0, 1), (1, 8)], [0, 1, 8])):
+        _, ids, index, adj = _renumber(edges)
+        assert ids == used and index == {v: i for i, v in enumerate(used)}
+        assert adj == [[1], [0, 2], [1]]
+
+
+def test_intake_fallbacks_give_the_result_of_graph():
+    # anything but a frozenset of (a, b) tuples with a < b goes through
+    # graph() before the adjacency is built
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    expected = _renumber(graph(pairs))
+    forms = {
+        "reversed pair": frozenset(pairs[:-1] + [(3, 0)]),
+        "frozenset of frozensets": frozenset(frozenset(e) for e in pairs),
+        "list": pairs,
+    }
+    for form, given in forms.items():
+        assert _renumber(given) == expected, form
+    with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
+        _renumber(frozenset([(0, 1), (2, 2)]))
+
+
+def test_results_share_the_graphs_int_objects():
+    # ids past CPython's small-int cache, each pair with its own int objects:
+    # the adjacency holds one object per vertex, and the matching and cover
+    # are built from objects of the graph's pairs
+    base = sparse_graph(random.Random(75), 300, 3)
+    g = frozenset((int(str(a)), int(str(b))) for a, b in base)
+    _, ids, index, adj = _renumber(g)
+    assert index is ids and len(ids) == 300
+    assert len({id(w) for ns in adj for w in ns}) == len({w for ns in adj for w in ns})
+    objects = {id(v) for e in g for v in e}
+    assert all(id(v) in objects for v in ids if adj[v])
+    m = find_maximum_matching(g)
+    cert = certify_maximality(g, m)
+    assert all(id(v) in objects for e in m for v in e)
+    assert all(id(v) in objects for s in cert.cover for v in s)
 
 
 def refuse_everywhere(monkeypatch, originals, message: str) -> set[str]:
@@ -502,9 +542,9 @@ def relabel(g, f) -> frozenset:
     ids=["1-based", "negative", "sparse", "huge-decreasing"],
 )
 def test_any_ids_agree_with_the_dense_ids(label):
-    # ids 0..n-1 are their own index, every other id goes through a dict;
-    # an order-preserving relabelling runs the engine identically, and a
-    # reversing one still gives a certified maximum matching
+    # ids in 0..4|E|-1 are their own index, every other id goes through a
+    # dict; an order-preserving relabelling runs the engine identically, and
+    # a reversing one still gives a certified maximum matching
     rng = random.Random(68)
     graphs = [INTAKE_GRAPHS["random 0-based"], frozenset()]
     graphs += [compact(random_graph(rng, rng.randint(2, 40), 0.12)) for _ in range(20)]
@@ -524,6 +564,42 @@ def test_any_ids_agree_with_the_dense_ids(label):
     assert find_maximum_matching([]) == frozenset()
     cert = certify_maximality([], [])
     assert cert is not None and cert.cover == frozenset()
+
+
+def spread(rng: random.Random, g) -> list[int]:
+    """New ids, in increasing order, for the ids 0..n-1 of a graph: n
+    distinct ids below 4|E|, which leaves gaps that index themselves, or
+    now and then ids reaching past that, which go through the dict."""
+    n = len(vertices(g))
+    top = 4 * len(g) if rng.random() < 0.8 else 40 * len(g)
+    return sorted(rng.sample(range(top), n))
+
+
+def test_ids_with_gaps_agree_with_the_compacted_graph():
+    rng = random.Random(76)
+    gaps = dicts = 0
+    for _ in range(200):
+        g = compact(random_graph(rng, rng.randint(2, 30), rng.choice([0.08, 0.15, 0.3])))
+        if not g:
+            continue
+        new = spread(rng, g)
+        h = relabel(g, new.__getitem__)
+        _, ids, index, _ = _renumber(h)
+        if index is ids:
+            gaps += len(ids) > len(new)
+        else:
+            dicts += 1
+        records, h_records = [], []
+        m = find_maximum_matching(g, trace=records.append)
+        hm = find_maximum_matching(h, trace=h_records.append)
+        assert hm == relabel(m, new.__getitem__)
+        assert h_records == [
+            " ".join(str(new[int(t)]) if t.isdigit() else t for t in record.split())
+            for record in records
+        ]
+        cover = certify_maximality(g, m).cover
+        assert certify_maximality(h, hm).cover == {frozenset(new[v] for v in s) for s in cover}
+    assert gaps > 100 and dicts > 10
 
 
 def old_intake_error(g, pairs) -> str | None:
