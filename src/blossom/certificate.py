@@ -127,20 +127,24 @@ def verify_certificate(
     either check fails as given or a history is to be replayed. Each step
     must be a genuine blossom of the graph it was found in, contracted to a
     fresh vertex; the first that is not is the one problem, named by its
-    1-based position. The cover is checked against the final graph, and
-    ``matching_size`` is the final matching's. Failures land in the report;
-    nothing is raised. Contracting a blossom keeps a matching a matching, so
-    a true verdict with no problems proves the given matching maximum.
+    1-based position. A self-loop in either set leaves the history
+    unreplayed, with one problem naming contraction 1. The cover is checked
+    against the final graph, and ``matching_size`` is the final matching's.
+    Failures land in the report; nothing is raised. Contracting a blossom
+    keeps a matching a matching, so a true verdict with no problems proves
+    the given matching maximum.
     """
     gset, mset = frozenset(g), frozenset(matching)
     matching_ok, subset_ok = is_matching(mset), mset <= gset
+    problems: list[str] = []
     if contractions or not (matching_ok and subset_ok):
         try:
             gset, mset = graph(gset), graph(mset)
-        except ValueError:  # a self-loop: the sets stay as given
-            pass
+        except ValueError:  # a self-loop: the sets stay as given, unreplayed
+            if contractions:
+                problems.append("contraction 1: the graph or the matching has a self-loop")
+            contractions = ()
         matching_ok, subset_ok = is_matching(mset), mset <= gset
-    problems: list[str] = []
     for i, step in enumerate(contractions, start=1):
         vs = vertices(gset)
         if step.fresh in vs:
@@ -214,11 +218,12 @@ def parse_certificate(
     text: str, *, offset: int = 0
 ) -> tuple[list[ContractionStep], frozenset[frozenset[int]]]:
     """Parse the certificate text format; ``offset`` is subtracted from every
-    vertex id on input. Every field is a natural number in ASCII digits.
-    Raises ValueError with a line number on bad input."""
+    vertex id on input. Every field is a natural number in ASCII digits, and
+    lines end at a line feed only. Raises ValueError with a line number on
+    bad input."""
     contractions: list[ContractionStep] = []
     cover: set[frozenset[int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue

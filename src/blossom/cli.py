@@ -5,9 +5,10 @@ Graph files use the DIMACS edge dialect: ``c`` comment lines, one
 ``p edge <vertices> <edges>`` header, and ``e <u> <v>`` lines with 1-based
 vertex ids. Matchings are written as ``m <u> <v>`` lines preceded by an
 ``s <size>`` line. Every number is written in ASCII decimal digits, with no
-sign. Vertex ids are 1-based in every file; internally they are shifted
-down by one. Every input file is read, decoded and parsed by one
-loader, which reports a failure on one line naming the file (exit code 1).
+sign. Lines end at a line feed only. Vertex ids are 1-based in every file;
+internally they are shifted down by one. Every input file is read, decoded
+and parsed by one loader, which reports a failure on one line naming the
+file (exit code 1).
 """
 
 from __future__ import annotations
@@ -63,21 +64,32 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
     """Parse the DIMACS edge dialect, whitespace-tolerantly, into the declared
     vertex count and the graph with 0-based ids; duplicate edges collapse.
     The declared edge count must be a natural number and is otherwise
-    ignored. A well-formed file is read by ``_parse_well_formed``; any other
-    is read again line by line, and its first fault is reported."""
-    lines = text.splitlines()
-    parsed = _parse_well_formed(lines)
-    if parsed is not None:
-        return parsed
-    vertex_count: int | None = None
+    ignored. The lines are read once, and the first fault is reported. An
+    ``e`` line in ASCII is checked inline, with no call per edge; any other
+    line, or one that the inline check doubts, goes through the checks that
+    name its fault."""
+    vertex_count = -1
     edges: set[Edge] = set()
-    for line_no, raw in enumerate(lines, start=1):
+    add = edges.add
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
+        if len(tokens) == 3 and tokens[0] == "e" and raw.isascii():
+            u, v = tokens[1], tokens[2]
+            if u.isdigit() and v.isdigit():
+                try:
+                    a, b = int(u) - 1, int(v) - 1
+                except ValueError:  # more digits than int() reads
+                    a = b = -1
+                if a > b:
+                    a, b = b, a
+                if 0 <= a < b < vertex_count:
+                    add((a, b))
+                    continue
         if not tokens or tokens[0] == "c":
             continue
         kind = tokens[0]
         if kind == "p":
-            if vertex_count is not None:
+            if vertex_count >= 0:
                 raise GraphFormatError(line_no, "duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise GraphFormatError(line_no, "expected 'p edge <vertices> <edges>'")
@@ -87,65 +99,32 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
             except ValueError:
                 raise GraphFormatError(line_no, "problem line counts must be natural numbers")
         elif kind == "e":
-            if vertex_count is None:
+            if vertex_count < 0:
                 raise GraphFormatError(line_no, "edge line before the problem line")
-            edges.add(_endpoints(line_no, tokens, vertex_count))
+            add(_endpoints(line_no, tokens, vertex_count))
         else:
             raise GraphFormatError(line_no, f"unknown line type {kind!r}")
-    if vertex_count is None:
+    if vertex_count < 0:
         raise GraphFormatError(0, "missing 'p edge' problem line")
     return vertex_count, frozenset(edges)
 
 
-def _parse_well_formed(lines: list[str]) -> tuple[int, frozenset[Edge]] | None:
-    """``parse_graph_file``'s result for a file that it accepts, or None at
-    the first line that it might refuse. The checks of ``_endpoints`` and
-    of the ``p`` line are made inline, with no call of a Python function
-    per line, since they run once per edge."""
-    vertex_count = -1
-    edges: set[Edge] = set()
-    add = edges.add
-    try:
-        for raw in lines:
-            tokens = raw.split()
-            if len(tokens) == 3 and tokens[0] == "e":
-                u, v = tokens[1], tokens[2]
-                if not (u.isascii() and u.isdigit() and v.isascii() and v.isdigit()):
-                    return None
-                a, b = int(u) - 1, int(v) - 1
-                if a > b:
-                    a, b = b, a
-                if not 0 <= a < b < vertex_count:
-                    return None
-                add((a, b))
-            elif not tokens or tokens[0] == "c":
-                continue
-            elif (
-                len(tokens) == 4
-                and tokens[:2] == ["p", "edge"]
-                and vertex_count < 0
-                and all(t.isascii() and t.isdigit() for t in tokens[2:])
-            ):
-                vertex_count = int(tokens[2])
-                int(tokens[3])  # the edge count is read only to be checked
-            else:
-                return None
-    except ValueError:  # a number too long for int(), which parse_natural refuses
-        return None
-    return (vertex_count, frozenset(edges)) if vertex_count >= 0 else None
-
-
 def parse_matching_file(text: str, vertex_count: int) -> frozenset[Edge]:
     """Parse ``m <u> <v>`` lines into an internal 0-based edge set; ``c``
-    comments and the ``s`` size line are tolerated."""
+    comments and ``s <size>`` lines are tolerated. The size is not compared
+    with the ``m`` lines."""
     pairs: set[Edge] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0] in ("c", "s"):
+        if not tokens or tokens[0] == "c":
             continue
-        if tokens[0] != "m":
+        if tokens[0] == "s":
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
+                raise GraphFormatError(line_no, "expected 's <size>'")
+        elif tokens[0] != "m":
             raise GraphFormatError(line_no, "expected 'm <u> <v>'")
-        pairs.add(_endpoints(line_no, tokens, vertex_count))
+        else:
+            pairs.add(_endpoints(line_no, tokens, vertex_count))
     return frozenset(pairs)
 
 

@@ -118,7 +118,8 @@ def _renumber(
     with no edges, so it changes neither the matching, the cover nor the
     trace. Any other input goes through ``graph()`` first, and the loop runs
     again on its result. A negative id, or one past the bound, indexes its
-    ids in sorted order through a dict.
+    ids in sorted order through a dict, and the adjacency is the loop's on
+    the pairs of indices, which are canonical and below the bound.
     """
     gset = g
     while True:
@@ -133,12 +134,7 @@ def _renumber(
         gset = canonical
     ids = sorted(set(chain.from_iterable(gset)))
     index = {v: i for i, v in enumerate(ids)}
-    adj = [[] for _ in ids]
-    for a, b in gset:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    for ns in adj:
-        ns.sort()
+    _, adj = _direct_adjacency(frozenset((index[a], index[b]) for a, b in gset))
     return gset, ids, index, adj
 
 

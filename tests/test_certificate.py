@@ -146,6 +146,13 @@ def test_verify_maximum_examples():
     # a self-loop pair is not a matching, and nothing is raised
     report = verify_maximum(g, [(1, 1)], [{1, 2, 3}])
     assert not report.matching_ok and not report.verdict
+    # nor with a history: it is not replayed, and contraction 1 is the problem
+    paw = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    history = [ContractionStep([], [0, 1, 2, 0], 4)]
+    for given_g, given_m in ((paw, [(3, 3)]), (paw + [(3, 3)], [(0, 1)])):
+        report, problems = verify_certificate(given_g, given_m, history, [{4}])
+        assert len(problems) == 1 and problems[0].startswith("contraction 1: ")
+        assert report.matching_size == 1
 
 
 def test_verify_maximum_flags_each_failure():
