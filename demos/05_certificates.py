@@ -49,3 +49,17 @@ print(f"cover valid on the input graph: {report.cover_ok}")
 print(f"cover capacity {report.capacity} == matching size {report.matching_size}")
 print("maximality certified:", report.verdict and not problems)
 assert not steps and report.verdict and not problems
+
+# When every vertex with an edge is matched, no augmenting path can exist,
+# since one would end at two unmatched vertices. certify_maximality then runs
+# no phase: the cover is a singleton of one matched vertex plus one odd set
+# of all the others, of capacity 1 + (2|M| - 2) / 2 = |M|.
+full = graph([(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
+fm = find_maximum_matching(full)
+print(f"\ntwo triangles joined by an edge: {len(fm)} matched edges cover all 6 vertices")
+fcert = certify_maximality(full, fm)
+fsets = sorted((sorted(s) for s in fcert.cover), key=len)
+print("cover:", fsets, f"capacity {cover_capacity(fcert.cover)}")
+freport, fproblems = verify_certificate(full, fm, [], fcert.cover)
+print("maximality certified:", freport.verdict and not fproblems)
+assert [len(s) for s in fsets] == [1, 5] and freport.verdict and not fproblems

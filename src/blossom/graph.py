@@ -8,6 +8,8 @@ function whose answer could depend on pair order reads each graph and
 matching through ``graph`` at entry, and returns canonical edge sets. The
 engine's intake, ``solver._renumber``, makes ``graph``'s canonical check
 inside its adjacency pass, and calls ``graph`` only when that pass fails.
+``certify_maximality`` first makes the check in a loop that builds nothing,
+which also asks whether the matching meets every vertex of the graph.
 ``verify_certificate`` alone reads its sets as given first: they are nearly
 always canonical, and ``graph``'s check of that would cost a third of its time.
 """

@@ -338,7 +338,16 @@ def certify_maximality(
 
     None when the phase augments: the matching is not maximum. Raises
     ValueError when the edge set is not a matching inside the graph.
+
+    When both are frozensets and every vertex with an edge is matched, no
+    augmenting path exists, as one ends at two unmatched vertices: the
+    matching is checked as always, and the cover is the phase's for an
+    empty forest, ``leftover_cover`` over every matched pair, with no
+    adjacency built.
     """
+    if type(g) is frozenset and type(matching) is frozenset and _fully_matched(g, matching):
+        mset = _checked_matching(g, matching)
+        return MaximalityCertificate((), frozenset(leftover_cover(sorted(mset))))
     gset, ids, index, adj = _renumber(g)
     mset = _checked_matching(gset, matching)
     mate = [-1] * len(ids)
@@ -349,6 +358,23 @@ def certify_maximality(
     if forest is None:
         return None
     return _certificate(mate, ids, *forest)
+
+
+def _fully_matched(g: frozenset, matching: frozenset) -> bool:
+    """Whether every member of ``g`` passes ``graph()``'s canonical check,
+    an ``(a, b)`` tuple with ``a < b``, and has both ends in ``matching``."""
+    try:
+        matched = set(chain.from_iterable(matching))
+        for e in g:
+            if type(e) is not tuple:
+                return False
+            a, b = e
+            if not a < b or a not in matched or b not in matched:
+                return False
+    except (TypeError, ValueError):
+        # not pairs of comparable values: the general path raises or copes
+        return False
+    return True
 
 
 def _certificate(

@@ -27,7 +27,14 @@ from blossom import (
     verify_maximum,
     vertices,
 )
-from blossom.solver import _blossom_base, _flip_to_root, _link_blossom_path, _renumber
+from blossom.solver import (
+    _blossom_base,
+    _flip_to_root,
+    _fully_matched,
+    _link_blossom_path,
+    _renumber,
+    _solve,
+)
 from support import (
     DEMO7,
     DEMO7_MATCHING,
@@ -48,6 +55,19 @@ from support import (
     sparse_graph,
     stem_with_triangles,
 )
+
+
+def planted_perfect(rng: random.Random, n: int, degree: int) -> tuple[frozenset, frozenset]:
+    """A random graph on the ids 0..n-1, n even, with about ``n * degree //
+    2`` edges besides a random perfect matching, and that matching."""
+    order = list(range(n))
+    rng.shuffle(order)
+    m = frozenset(edge(order[i], order[i + 1]) for i in range(0, n, 2))
+    return m | sparse_graph(rng, n, degree), m
+
+
+# every vertex is matched by a maximum matching: certify needs no search
+FULLY_MATCHED = planted_perfect(random.Random(77), 60, 3)[0]
 
 
 def test_find_augmenting_path_examples():
@@ -362,7 +382,7 @@ def test_solve_and_certify_never_run_the_spec_layer(monkeypatch):
         "blossom.solver.find_path_or_blossom",
         "blossom.solver.quotient_graph",
     } <= patched
-    for g in (DEMO12, TAILED_TRIANGLE, INTERLEAVED_400):
+    for g in (DEMO12, TAILED_TRIANGLE, INTERLEAVED_400, FULLY_MATCHED):
         m = find_maximum_matching(g)
         cert = certify_maximality(g, m)
         assert cert is not None and cert.contractions == ()
@@ -377,7 +397,7 @@ def test_edge_loops_make_no_call_per_edge(monkeypatch):
         monkeypatch, (edge,), "an edge loop canonicalised an edge"
     )
     assert {"blossom.graph.edge", "blossom.edge"} <= patched
-    for g in (DEMO12, TAILED_TRIANGLE, INTERLEAVED_400):
+    for g in (DEMO12, TAILED_TRIANGLE, INTERLEAVED_400, FULLY_MATCHED):
         assert type(g) is frozenset
         assert certified(g, find_maximum_matching(g))
 
@@ -618,23 +638,107 @@ def old_intake_error(g, pairs) -> str | None:
 
 def test_certify_checks_the_matching_as_before():
     rng = random.Random(69)
-    seen = set()
+    seen, shortcut = set(), set()
     for _ in range(3000):
         g = random_graph(rng, rng.randint(2, 8), 0.5, first=rng.choice([0, 1]))
         pool = sorted(g) + [(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(2)]
         pairs = rng.sample(pool, rng.randint(0, min(4, len(pool))))
         pairs += [(b, a) for a, b in pairs if rng.random() < 0.2]
         rng.shuffle(pairs)
-        error = old_intake_error(g, pairs)
-        seen.add(error and error.split()[0])
-        if error is None:
-            certify_maximality(g, pairs)
-        else:
-            with pytest.raises(ValueError) as info:
-                certify_maximality(g, pairs)
-            assert str(info.value) == error
-    assert seen == {None, "self-loop", "the"}
+        for given in (pairs, frozenset(pairs)):
+            # of two self-loops, the one met first is named
+            error = old_intake_error(g, given)
+            kind = error and error.rstrip("0123456789")
+            seen.add(kind)
+            # a frozenset that meets every vertex of g takes certify's shortcut
+            if type(given) is frozenset and _fully_matched(g, given):
+                shortcut.add(kind)
+            if error is None:
+                certify_maximality(g, given)
+            else:
+                with pytest.raises(ValueError) as info:
+                    certify_maximality(g, given)
+                assert str(info.value) == error
+    assert seen == shortcut == {
+        None,
+        "self-loop at vertex ",
+        "the given edge set is not a matching",
+        "the matching has edges outside the graph",
+    }
     with pytest.raises(ValueError, match="^self-loop at vertex 4$"):
         find_maximum_matching([(1, 2), (4, 4)])
     with pytest.raises(ValueError, match="^self-loop at vertex 4$"):
         certify_maximality(PATH4, [(1, 2), (2, 3), (4, 4)])
+
+
+def test_fully_matched_frozensets_build_no_adjacency(monkeypatch):
+    # every augmenting path ends at two unmatched vertices, so when every
+    # vertex with an edge is matched certify reads no graph structure
+    m = find_maximum_matching(FULLY_MATCHED)
+    assert 2 * len(m) == len(vertices(FULLY_MATCHED))
+
+    def refuse(g):
+        raise AssertionError("certify built an adjacency")
+
+    monkeypatch.setattr(blossom.solver, "_renumber", refuse)
+    assert certified(FULLY_MATCHED, m)
+    assert certified(graph([(0, 1)]), graph([(0, 1)]))
+    assert certified(frozenset(), frozenset())
+    # a vertex with an edge and no partner, at either end of its pair, or a
+    # graph that is no frozenset, takes the general path
+    for g in (FULLY_MATCHED | {(0, 60)}, FULLY_MATCHED | {(-1, 0)}, sorted(FULLY_MATCHED)):
+        with pytest.raises(AssertionError, match="^certify built an adjacency$"):
+            certify_maximality(g, m)
+
+
+@pytest.mark.parametrize("case", ["fully matched", "unmatched vertices", "not maximum"])
+def test_one_shot_iterators_certify_as_the_frozensets(case):
+    g, m = {
+        "fully matched": (FULLY_MATCHED, find_maximum_matching(FULLY_MATCHED)),
+        "unmatched vertices": (DEMO12, DEMO12_MATCHING),
+        "not maximum": (PATH4, graph([(2, 3)])),
+    }[case]
+    expected = certify_maximality(g, m)
+    assert (expected is None) == (case == "not maximum")
+    forms = (iter, list, set, frozenset)
+    for g_form, m_form in itertools.product(forms, repeat=2):
+        assert certify_maximality(g_form(g), m_form(m)) == expected, (g_form, m_form)
+
+
+def test_fully_matched_graphs_certify_as_the_general_path():
+    # the shortcut's certificate is the one solve --certificate writes and
+    # the one the general path reads off its phase, and it verifies
+    rng = random.Random(78)
+    cases = [(graph([(0, 1)]), graph([(0, 1)])), (frozenset(), frozenset())]
+    for _ in range(40):
+        n = 2 * rng.randint(1, 25)
+        g, planted = planted_perfect(rng, n, min(rng.randint(0, 3), n - 1))
+        bound = 4 * len(g)
+        gaps = sorted(rng.sample(range(bound), n))
+        for label in (
+            lambda v: v,
+            gaps.__getitem__,
+            lambda v: v - n,
+            lambda v: bound + 3 * v,
+        ):
+            cases.append((relabel(g, label), relabel(planted, label)))
+    for h, planted in cases:
+        m, certificate = _solve(h, None)
+        expected = certificate()
+        for given in (m, planted):
+            assert _fully_matched(h, given)
+            cert = certify_maximality(h, given)
+            assert cert == certify_maximality(set(h), given)
+            report, problems = verify_certificate(h, given, [], cert.cover)
+            assert report.verdict and not problems
+        assert certify_maximality(h, m) == expected
+        # non-canonical members: a reversed graph pair takes the general
+        # path, a reversed matching pair the shortcut
+        flipped = frozenset((b, a) if rng.random() < 0.5 else (a, b) for a, b in m)
+        assert _fully_matched(h, flipped)
+        assert certify_maximality(h, flipped) == expected
+        if h:
+            a, b = min(h)
+            reversed_pair = h - {(a, b)} | {(b, a)}
+            assert not _fully_matched(reversed_pair, m)
+            assert certify_maximality(reversed_pair, m) == expected
