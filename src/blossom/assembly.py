@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .contraction import is_blossom
-from .forest import InvariantViolation, run_search
+from .forest import run_search
 from .graph import Edge, graph, vertices
-from .matching import _checked_matching, is_augmenting_path
+from .matching import InvariantViolation, _checked_matching, is_augmenting_path
 
 T = TypeVar("T")
 

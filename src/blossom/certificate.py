@@ -48,13 +48,12 @@ def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
     # parsed covers may hold a vertex in several larger sets.
     singletons = {v for s in sets if len(s) == 1 for v in s}
     owner: dict[int, int] = {}
-    overlap = False
+    members = 0
     for k, s in enumerate(sets):
         if len(s) > 1:
-            for v in s:
-                if owner.setdefault(v, k) != k:
-                    overlap = True
-    if overlap:
+            owner.update(dict.fromkeys(s, k))
+            members += len(s)
+    if len(owner) < members:
         larger: dict[int, list[frozenset[int]]] = {}
         for s in sets:
             if len(s) > 1:
@@ -178,12 +177,22 @@ def verify_maximum(
     return verify_certificate(g, matching, (), cover)[0]
 
 
+# int()'s default limit on the digits of a string it converts.
+_MAX_DIGITS = 4300
+
+
 def parse_natural(token: str) -> int:
     """The value of a token of ASCII decimal digits. Raises ValueError for
     anything else, including signs, underscores and non-ASCII digits that
-    ``int`` would take."""
+    ``int`` would take, and OverflowError for a value of more than 4,300
+    digits after its leading zeros. The outcome is the same whether the
+    interpreter's own digit limit is at its default or off."""
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"not a natural number: {token!r}")
+    if len(token) > _MAX_DIGITS:
+        token = token.lstrip("0") or "0"
+        if len(token) > _MAX_DIGITS:
+            raise OverflowError(f"number too large: more than {_MAX_DIGITS} significant digits")
     return int(token)
 
 
@@ -232,6 +241,8 @@ def parse_certificate(
             numbers = [parse_natural(t) for t in tokens[1:]]
         except ValueError as exc:
             raise ValueError(f"line {line_no}: fields must be natural numbers") from exc
+        except OverflowError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from exc
         if kind == "x":
             if len(numbers) < 2:
                 raise ValueError(f"line {line_no}: truncated contraction record")

@@ -5,7 +5,8 @@ Graph files use the DIMACS edge dialect: ``c`` comment lines, one
 ``p edge <vertices> <edges>`` header, and ``e <u> <v>`` lines with 1-based
 vertex ids. Matchings are written as ``m <u> <v>`` lines preceded by an
 ``s <size>`` line. Every number is written in ASCII decimal digits, with no
-sign. Lines end at a line feed only. Vertex ids are 1-based in every file;
+sign; a number that is read has at most 4,300 after its leading zeros.
+Lines end at a line feed only. Vertex ids are 1-based in every file;
 internally they are shifted down by one. Every input file is read, decoded
 and parsed by one loader, which reports a failure on one line naming the
 file (exit code 1).
@@ -53,6 +54,8 @@ def _endpoints(line_no: int, tokens: list[str], vertex_count: int) -> Edge:
         u, v = parse_natural(tokens[1]), parse_natural(tokens[2])
     except ValueError:
         raise GraphFormatError(line_no, "endpoints must be natural numbers")
+    except OverflowError:  # past any vertex count a problem line can declare
+        raise GraphFormatError(line_no, f"vertex id out of range 1..{vertex_count}")
     if u == v:
         raise GraphFormatError(line_no, f"self-loop at vertex {u}")
     if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
@@ -98,6 +101,8 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
                 parse_natural(tokens[3])
             except ValueError:
                 raise GraphFormatError(line_no, "problem line counts must be natural numbers")
+            except OverflowError as exc:
+                raise GraphFormatError(line_no, str(exc))
         elif kind == "e":
             if vertex_count < 0:
                 raise GraphFormatError(line_no, "edge line before the problem line")
@@ -171,7 +176,7 @@ def run_solve(
     only, a cover of the input graph with no contraction history. It is
     written before the matching is printed, so a failed write leaves
     standard output empty. With trace enabled, one ``grow``, ``found`` or
-    ``skip`` record per edge the solve examines goes to standard error, with
+    ``skip`` record per edge a phase examines goes to standard error, with
     the input's vertex ids shifted to 0-based.
     Any unexpected exception ends in exit code 3 and one line of error.
     """
@@ -287,8 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     solve.add_argument(
         "--trace",
         action="store_true",
-        help="stream one search record per examined edge to standard error "
-        "(0-based vertex ids)",
+        help="stream one search record per edge a phase examines to standard "
+        "error (0-based vertex ids)",
     )
     solve.add_argument(
         "--seed",

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .graph import Edge, adjacency, edge, graph, is_path, vertices
-from .matching import _checked_matching
+from .matching import InvariantViolation, _checked_matching
 
 
 class Parity(Enum):
@@ -47,10 +47,6 @@ class SearchResult:
 
     paths: tuple[list[int], list[int]] | None
     state: SearchState
-
-
-class InvariantViolation(RuntimeError):
-    """A structural invariant of the search state does not hold."""
 
 
 Trace = Callable[[str], None]
@@ -124,16 +120,16 @@ def run_search(
         check_search_invariants(gset, mset, state)
 
     while heap:
+        # Each pair was pushed once, while its edge was unexamined. Since
+        # then only popping the reverse pair could have examined the edge,
+        # and that pop met two even ends and returned.
         v1, v2 = heapq.heappop(heap)
-        e = edge(v1, v2)
-        if e in examined:
-            continue
         found = labels.get(v2)
         if found is not None and found.parity is Parity.EVEN:
             if trace is not None:
                 trace(f"found {v1} {v2}")
             return SearchResult((follow(parent, v1), follow(parent, v2)), state)
-        examined.add(e)
+        examined.add(edge(v1, v2))
         if found is None:
             v3 = partner[v2]
             examined.add(edge(v2, v3))

@@ -5,13 +5,7 @@ Vertices are non-negative integers. An edge is stored canonically as a
 with deterministic iteration. The vertex set of a graph is derived as the
 union of its edges; isolated vertices are not representable. A public
 function whose answer could depend on pair order reads each graph and
-matching through ``graph`` at entry, and returns canonical edge sets. The
-engine's intake, ``solver._renumber``, makes ``graph``'s canonical check
-inside its adjacency pass, and calls ``graph`` only when that pass fails.
-``certify_maximality`` first makes the check in a loop that builds nothing,
-which also asks whether the matching meets every vertex of the graph.
-``verify_certificate`` alone reads its sets as given first: they are nearly
-always canonical, and ``graph``'s check of that would cost a third of its time.
+matching through ``graph`` at entry, and returns canonical edge sets.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ from .graph import Edge, edges_of_path, graph, is_path, is_simple, vertices
 T = TypeVar("T")
 
 
+class InvariantViolation(RuntimeError):
+    """A structural invariant of the search state does not hold."""
+
+
 def is_matching(edges: Iterable[Edge]) -> bool:
     """Whether the edges are pairwise vertex-disjoint."""
     seen: set[int] = set()
@@ -80,7 +84,5 @@ def augment(matching: Iterable[Edge], path: Sequence[int]) -> frozenset[Edge]:
         raise ValueError("the path does not augment the matching")
     out = mset ^ frozenset(edges_of_path(path))
     if not (is_matching(out) and len(out) == len(mset) + 1):
-        from .forest import InvariantViolation  # forest imports this module
-
         raise InvariantViolation("augmenting did not give a matching one edge larger")
     return out

@@ -12,9 +12,9 @@ from itertools import chain
 from .assembly import FoundBlossom, find_path_or_blossom
 from .certificate import MaximalityCertificate
 from .contraction import ContractionMap, fresh_vertex, lift_path, quotient_graph
-from .forest import InvariantViolation, Trace, leftover_cover
+from .forest import Trace, leftover_cover
 from .graph import Edge, graph, vertices
-from .matching import _checked_matching
+from .matching import InvariantViolation, _checked_matching
 
 
 def find_augmenting_path(
@@ -32,19 +32,17 @@ def find_augmenting_path(
     cur_g, cur_m = graph(g), graph(matching)
     # (graph, matching, cycle, fresh vertex) per contraction, outermost first
     levels: list[tuple[frozenset[Edge], frozenset[Edge], list[int], int]] = []
-    bound = 0
-    while True:
+    for _ in range(len(vertices(cur_g)) + 1):
         found = find_path_or_blossom(cur_g, cur_m)
         if not isinstance(found, FoundBlossom):
             break
         vs = vertices(cur_g)
-        bound = bound or len(vs)
-        if len(levels) >= bound:
-            raise InvariantViolation("contraction chain exceeded the vertex count")
         target = fresh_vertex(vs)
         levels.append((cur_g, cur_m, found.cycle, target))
         cmap = ContractionMap(frozenset(vs - set(found.cycle)), target)
         cur_g, cur_m = quotient_graph(cmap, cur_g), quotient_graph(cmap, cur_m)
+    else:
+        raise InvariantViolation("contraction chain exceeded the vertex count")
     if found is None:
         return None
     path = list(found.path)
@@ -70,8 +68,8 @@ def find_maximum_matching(
     one phase augments along many vertex-disjoint paths. A blossom closed on the way is
     contracted in place, by relabelling the base of its vertices. The solve
     ends after the first phase that does not augment. ``trace`` receives one
-    record per examined edge, in the layouts ``run_search`` uses and with
-    the input's vertex ids.
+    record per edge a phase examines, in the layouts ``run_search`` uses and
+    with the input's vertex ids.
     """
     return _solve(g, trace)[0]
 
@@ -116,22 +114,21 @@ def _renumber(
     ``ids`` itself: a list subscripts faster than a range. An id in that
     range that no edge uses is an isolated vertex. It is an unmatched root
     with no edges, so it changes neither the matching, the cover nor the
-    trace. Any other input goes through ``graph()`` first, and the loop runs
-    again on its result. A negative id, or one past the bound, indexes its
-    ids in sorted order through a dict, and the adjacency is the loop's on
-    the pairs of indices, which are canonical and below the bound.
+    trace. Any other input goes through ``graph()`` once, and so does a
+    frozenset the loop refuses: if that makes it canonical, the loop runs
+    once more on the result. A negative id, or one past the bound, indexes
+    its ids in sorted order through a dict, and the adjacency is the loop's
+    on the pairs of indices, which are canonical and below the bound.
     """
-    gset = g
-    while True:
-        if type(gset) is frozenset:
+    gset = g if type(g) is frozenset else graph(g)
+    direct = _direct_adjacency(gset)
+    if direct is None and type(g) is frozenset:
+        gset = graph(g)
+        if gset is not g:
             direct = _direct_adjacency(gset)
-            if direct is not None:
-                ids, adj = direct
-                return gset, ids, ids, adj
-        canonical = graph(gset)
-        if canonical is gset:
-            break
-        gset = canonical
+    if direct is not None:
+        ids, adj = direct
+        return gset, ids, ids, adj
     ids = sorted(set(chain.from_iterable(gset)))
     index = {v: i for i, v in enumerate(ids)}
     _, adj = _direct_adjacency(frozenset((index[a], index[b]) for a, b in gset))
@@ -232,17 +229,15 @@ def _augment_phase(
                         f"grow {v1} {v2} label {v2} odd {ids[r]} label {v3} even {ids[r]} "
                         f"parent {v2} {v1} parent {v3} {v2}"
                     )
-            elif root[w] != r:
-                if trace is not None:
-                    trace(f"found {ids[v]} {ids[w]}")
-                _flip_to_root(v, parent, mate)
-                _flip_to_root(w, parent, mate)
-                mate[v], mate[w] = w, v
-                dead.update((r, root[w]))
-                break
             else:
                 if trace is not None:
                     trace(f"found {ids[v]} {ids[w]}")
+                if root[w] != r:
+                    _flip_to_root(v, parent, mate)
+                    _flip_to_root(w, parent, mate)
+                    mate[v], mate[w] = w, v
+                    dead.update((r, root[w]))
+                    break
                 b = _blossom_base(v, w, base, parent, mate)
                 bases: set[int] = set()
                 _link_blossom_path(v, w, b, base, parent, mate, bases)
@@ -250,17 +245,12 @@ def _augment_phase(
                 group = members.setdefault(b, [b])
                 odd = []
                 for a in bases:
-                    if a in members:
-                        absorbed = members.pop(a)
-                        group += absorbed
-                        for i in absorbed:
-                            base[i] = b
-                    else:
-                        # Only a base that absorbed nothing can be odd.
-                        base[a] = b
-                        group.append(a)
-                        if label[a] == ODD:
-                            odd.append(a)
+                    absorbed = members.pop(a, None) or [a]
+                    group += absorbed
+                    for i in absorbed:
+                        base[i] = b
+                    if label[a] == ODD:
+                        odd.append(a)
                 # The odd vertices become even and are scanned, in index order.
                 odd.sort()
                 for i in odd:

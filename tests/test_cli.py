@@ -124,6 +124,69 @@ def test_numbers_are_ascii_digits_only():
                 parse_certificate(text, offset=1)
 
 
+def _alike_under_each_digit_limit(parse):
+    """What ``parse()`` returns, or the message of the ValueError it raises,
+    the same with int()'s digit limit at its default and with it off."""
+    outcomes = []
+    saved = sys.get_int_max_str_digits()
+    try:
+        for limit in (sys.int_info.default_max_str_digits, 0):
+            sys.set_int_max_str_digits(limit)
+            try:
+                outcomes.append(("parsed", parse()))
+            except ValueError as exc:
+                outcomes.append(("refused", str(exc)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_numbers_past_the_int_digit_limit_parse_alike_with_it_on_and_off(tmp_path):
+    # leading zeros do not count; 4,300 significant digits are the most
+    long, most = "9" * 5000, "9" * 4300
+    pad = "0" * 5000
+    too_large = "number too large: more than 4300 significant digits"
+    graphs = {
+        f"p edge {long} 1\ne 1 2\n": ("refused", f"line 1: {too_large}"),
+        f"p edge 3 {long}\ne 1 2\n": ("refused", f"line 1: {too_large}"),
+        f"p edge {pad}3 {pad}1\ne 1 {pad}2\n": ("parsed", (3, graph([(0, 1)]))),
+        f"p edge 3 1\ne 1 {long}\n": ("refused", "line 2: vertex id out of range 1..3"),
+        f"p edge 3 1\ne {long} x\n": ("refused", "line 2: vertex id out of range 1..3"),
+        f"p edge {most} 1\ne 1 2\n": ("parsed", (int(most), graph([(0, 1)]))),
+    }
+    for text, want in graphs.items():
+        assert _alike_under_each_digit_limit(lambda: parse_graph_file(text)) == want
+    matchings = {
+        f"s {pad}1\nm {pad}1 {pad}2\n": ("parsed", graph([(0, 1)])),
+        # the size is only checked for digits, as it is never read
+        f"s {long}\nm 1 2\n": ("parsed", graph([(0, 1)])),
+        f"s 1\nm {long} 2\n": ("refused", "line 2: vertex id out of range 1..3"),
+        f"s 1\nm 1 {most}\n": ("refused", "line 2: vertex id out of range 1..3"),
+    }
+    for text, want in matchings.items():
+        assert _alike_under_each_digit_limit(lambda: parse_matching_file(text, 3)) == want
+    certificates = {
+        f"s {pad}1\n": ("parsed", ([], frozenset({frozenset({0})}))),
+        f"s {most}\n": ("parsed", ([], frozenset({frozenset({int(most) - 1})}))),
+        f"s 1 {long} 3\n": ("refused", f"line 1: {too_large}"),
+        f"c\nx {long} 0 1 2 3 1\n": ("refused", f"line 2: {too_large}"),
+        f"s {long} x\n": ("refused", f"line 1: {too_large}"),
+    }
+    for text, want in certificates.items():
+        assert _alike_under_each_digit_limit(lambda: parse_certificate(text, offset=1)) == want
+    # through the CLI: exit 1 and one line naming the file
+    gpath = tmp_path / "graph.txt"
+    gpath.write_text(f"p edge {long} 1\ne 1 2\n")
+
+    def solve():
+        err = io.StringIO()
+        return run_solve(str(gpath), out=io.StringIO(), err=err), err.getvalue()
+
+    code, err = _alike_under_each_digit_limit(solve)[1]
+    assert code == EXIT_PARSE and err == f"error: {gpath}: line 1: {too_large}\n"
+
+
 # Each ends a line for str.splitlines(), but not for the parsers.
 LINE_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 

@@ -60,6 +60,16 @@ def test_trace_records_each_examined_edge():
     assert lines
     assert all(line.split()[0] in ("grow", "found", "skip") for line in lines)
     assert lines[-1].startswith("found")
+    # 3 and 5 turn even, so the edge (3, 4) meets the odd 4 and is skipped
+    lines.clear()
+    g = graph([(1, 2), (2, 3), (1, 4), (4, 5), (3, 4)])
+    outcome = run_search(g, graph([(2, 3), (4, 5)]), trace=lines.append)
+    assert outcome.paths is None
+    assert lines == [
+        "grow 1 2 label 2 odd 1 label 3 even 1 parent 2 1 parent 3 2",
+        "grow 1 4 label 4 odd 1 label 5 even 1 parent 4 1 parent 5 4",
+        "skip 3 4",
+    ]
 
 
 def test_cover_for_fully_matched_single_edge():

@@ -316,18 +316,31 @@ def test_ids_0_to_n_minus_1_index_themselves():
         assert adj == [[1], [0, 2], [1]]
 
 
-def test_intake_fallbacks_give_the_result_of_graph():
+def test_intake_fallbacks_give_the_result_of_graph(monkeypatch):
     # anything but a frozenset of (a, b) tuples with a < b goes through
-    # graph() before the adjacency is built
+    # graph() once before the adjacency is built, and so does a frozenset
+    # whose ids need the dict
+    calls = []
+
+    def counted(pairs):
+        calls.append(1)
+        return graph(pairs)
+
+    monkeypatch.setattr(blossom.solver, "graph", counted)
     pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
     expected = _renumber(graph(pairs))
+    assert calls == []
     forms = {
         "reversed pair": frozenset(pairs[:-1] + [(3, 0)]),
         "frozenset of frozensets": frozenset(frozenset(e) for e in pairs),
         "list": pairs,
     }
     for form, given in forms.items():
-        assert _renumber(given) == expected, form
+        calls.clear()
+        assert _renumber(given) == expected and calls == [1], form
+    for given in ([(-1, 0), (0, 1)], [(1, 0), (-1, 0)], graph([(-1, 0), (0, 1)])):
+        calls.clear()
+        assert _renumber(given)[1] == [-1, 0, 1] and calls == [1], given
     with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
         _renumber(frozenset([(0, 1), (2, 2)]))
 
