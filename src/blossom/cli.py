@@ -68,21 +68,21 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
     vertex count and the graph with 0-based ids; duplicate edges collapse.
     The declared edge count must be a natural number and is otherwise
     ignored. The lines are read once, and the first fault is reported. An
-    ``e`` line in ASCII is checked inline, with no call per edge; any other
-    line, or one that the inline check doubts, goes through the checks that
-    name its fault."""
+    ``e`` line in ASCII whose ids have no more digits than the vertex count
+    is checked inline, with no call per edge; any other line, or one that
+    the inline check doubts, goes through the checks that name its fault.
+    So no id longer than the vertex count reaches ``int()``, whose time
+    grows with the square of the length when the digit limit is off."""
     vertex_count = -1
+    width = 0  # the vertex count's digits; no e line is inline before the p line
     edges: set[Edge] = set()
     add = edges.add
     for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if len(tokens) == 3 and tokens[0] == "e" and raw.isascii():
             u, v = tokens[1], tokens[2]
-            if u.isdigit() and v.isdigit():
-                try:
-                    a, b = int(u) - 1, int(v) - 1
-                except ValueError:  # more digits than int() reads
-                    a = b = -1
+            if len(u) <= width and len(v) <= width and u.isdigit() and v.isdigit():
+                a, b = int(u) - 1, int(v) - 1
                 if a > b:
                     a, b = b, a
                 if 0 <= a < b < vertex_count:
@@ -99,6 +99,7 @@ def parse_graph_file(text: str) -> tuple[int, frozenset[Edge]]:
             try:
                 vertex_count = parse_natural(tokens[2])
                 parse_natural(tokens[3])
+                width = len(str(vertex_count))
             except ValueError:
                 raise GraphFormatError(line_no, "problem line counts must be natural numbers")
             except OverflowError as exc:
@@ -171,9 +172,11 @@ def run_solve(
 ) -> int:
     """Solve a graph file and print the maximum matching in ``s``/``m`` form.
 
-    With a certificate path, the odd set cover read off the solve's last
-    phase, the one that failed to augment, is written there: ``s`` lines
-    only, a cover of the input graph with no contraction history. It is
+    With a certificate path, the odd set cover read off a phase that fails
+    to augment the matching is written there: the solve's own last phase,
+    or, when counting proved the matching maximum before that phase ran,
+    the phase run then. It has ``s`` lines only, a cover of the input graph
+    with no contraction history. It is
     written before the matching is printed, so a failed write leaves
     standard output empty. With trace enabled, one ``grow``, ``found`` or
     ``skip`` record per edge a phase examines goes to standard error, with

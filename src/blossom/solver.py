@@ -67,9 +67,11 @@ def find_maximum_matching(
     their root paths, and both trees are dead for the rest of the phase, so
     one phase augments along many vertex-disjoint paths. A blossom closed on the way is
     contracted in place, by relabelling the base of its vertices. The solve
-    ends after the first phase that does not augment. ``trace`` receives one
-    record per edge a phase examines, in the layouts ``run_search`` uses and
-    with the input's vertex ids.
+    ends after the first phase that does not augment, or, without a
+    ``trace``, as soon as at most one vertex with edges is unmatched: an
+    augmenting path ends at two of them, so the matching is maximum (Berge).
+    ``trace`` receives one record per edge a phase examines, in the layouts
+    ``run_search`` uses and with the input's vertex ids.
     """
     return _solve(g, trace)[0]
 
@@ -77,9 +79,11 @@ def find_maximum_matching(
 def _solve(
     g: Iterable[Edge], trace: Trace | None
 ) -> tuple[frozenset[Edge], Callable[[], MaximalityCertificate]]:
-    """``find_maximum_matching``'s matching, and a function that reads its
-    certificate off the solve's last phase, the one that failed to
-    augment."""
+    """``find_maximum_matching``'s matching, and a function that returns its
+    certificate: read off the solve's last phase, the one that failed to
+    augment, or, when counting ended the solve before that phase, from the
+    phase run on demand (``_phase_certificate``). The skipped phase would
+    not have changed ``mate``, so the matching is the same either way."""
     gset, ids, _, adj = _renumber(g)
     n = len(ids)
     mate = [-1] * n
@@ -89,7 +93,13 @@ def _solve(
                 if mate[w] < 0:
                     mate[v], mate[w] = w, v
                     break
+    # Isolated ids, the unused ones below 4|E| among them, are never matched.
+    isolated = adj.count([])
+    forest = None
     for _ in range(n // 2 + 1):
+        # Traced, every phase runs, so the records stay those of a full solve.
+        if trace is None and mate.count(-1) - isolated < 2:
+            break
         forest = _augment_phase(adj, mate, ids, trace)
         if forest is not None:
             break
@@ -98,7 +108,16 @@ def _solve(
     matching = frozenset((ids[v], ids[w]) for v, w in enumerate(mate) if v < w)
     if any(w >= 0 and mate[w] != v for v, w in enumerate(mate)) or not matching <= gset:
         raise InvariantViolation("the computed edge set is not a matching inside the graph")
-    return matching, partial(_certificate, mate, ids, *forest)
+    if forest is not None:
+        return matching, partial(_certificate, mate, ids, *forest)
+
+    def certificate() -> MaximalityCertificate:
+        cert = _phase_certificate(adj, mate, ids)
+        if cert is None:
+            raise InvariantViolation("a phase augmented a matching that counting proved maximum")
+        return cert
+
+    return matching, certificate
 
 
 def _renumber(
@@ -344,10 +363,16 @@ def certify_maximality(
     for a, b in mset:
         i, j = index[a], index[b]
         mate[i], mate[j] = j, i
+    return _phase_certificate(adj, mate, ids)
+
+
+def _phase_certificate(
+    adj: list[list[int]], mate: list[int], ids: list[int]
+) -> MaximalityCertificate | None:
+    """The certificate read off one untraced engine phase from ``mate``, or
+    None when that phase augments it."""
     forest = _augment_phase(adj, mate, ids, None)
-    if forest is None:
-        return None
-    return _certificate(mate, ids, *forest)
+    return None if forest is None else _certificate(mate, ids, *forest)
 
 
 def _fully_matched(g: frozenset, matching: frozenset) -> bool:

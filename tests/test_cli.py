@@ -187,6 +187,32 @@ def test_numbers_past_the_int_digit_limit_parse_alike_with_it_on_and_off(tmp_pat
     assert code == EXIT_PARSE and err == f"error: {gpath}: line 1: {too_large}\n"
 
 
+def test_ids_longer_than_the_vertex_count_never_reach_int(monkeypatch):
+    # with the digit limit off, int() takes time quadratic in the digits
+    import blossom.cli as cli
+
+    lengths = []
+
+    def recording_int(token):
+        lengths.append(len(token))
+        return int(token)
+
+    monkeypatch.setattr(cli, "int", recording_int, raising=False)
+    long = "9" * 200_000
+    out_of_range = ("refused", "line 2: vertex id out of range 1..3")
+    graphs = {
+        f"p edge 3 1\ne 1 {long}\n": out_of_range,
+        f"p edge 3 1\ne {long} 2\n": out_of_range,
+        f"p edge 3 1\ne {long} x\n": out_of_range,
+        # longer than the count but in range: parsed alike off the inline path
+        "p edge 3 1\ne 01 3\n": ("parsed", (3, graph([(0, 2)]))),
+        "p edge 12 2\ne 12 1\ne 3 4\n": ("parsed", (12, graph([(0, 11), (2, 3)]))),
+    }
+    for text, want in graphs.items():
+        assert _alike_under_each_digit_limit(lambda: parse_graph_file(text)) == want
+    assert lengths and max(lengths) <= 2
+
+
 # Each ends a line for str.splitlines(), but not for the parsers.
 LINE_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -405,6 +431,26 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert run_solve(str(tmp_path / "g.txt"), out=out, err=err) == 3
     assert "internal error" in err.getvalue()
+
+
+def test_a_phase_that_augments_a_counted_maximum_is_an_internal_error(tmp_path, monkeypatch):
+    import blossom.solver as solver
+
+    # greedy matches both ends, so the solve runs no phase and only the
+    # certificate runs one; a phase that augments contradicts the count
+    monkeypatch.setattr(solver, "_augment_phase", lambda *args: None)
+    (tmp_path / "g.txt").write_text("p edge 2 1\ne 1 2\n")
+    out = io.StringIO()
+    assert run_solve(str(tmp_path / "g.txt"), out=out, err=io.StringIO()) == EXIT_OK
+    assert out.getvalue() == "s 1\nm 1 2\n"
+    cpath = tmp_path / "c.txt"
+    out, err = io.StringIO(), io.StringIO()
+    assert run_solve(str(tmp_path / "g.txt"), str(cpath), out=out, err=err) == 3
+    assert out.getvalue() == "" and not cpath.exists()
+    assert err.getvalue() == (
+        "internal error: InvariantViolation: "
+        "a phase augmented a matching that counting proved maximum\n"
+    )
 
 
 @pytest.mark.parametrize("target", ["_solve", "verify_certificate"])

@@ -458,7 +458,11 @@ def test_many_small_trees_augment_in_one_phase(phases):
         g, planted, size = augmenting_gadgets(rng, count)
         phases.clear()
         find_maximum_matching(g)
-        # the first phase augments every gadget, the second finds nothing
+        # the first phase augments every gadget and leaves nothing unmatched
+        assert len(phases) == 1
+        phases.clear()
+        find_maximum_matching(g, trace=lambda record: None)
+        # traced, a second phase runs and finds nothing
         assert len(phases) == 2
         check_planted(g, planted, size)
         check_planted(*augmenting_gadgets(rng, count, cross=rng.randint(1, count)))
@@ -507,7 +511,11 @@ def test_blossom_bases_are_found_near_the_blossom():
     n = len(vertices(g))
     m = find_maximum_matching(g)
     assert len(m) == size and len(planted) == size
-    for run in (lambda: find_maximum_matching(g), lambda: certify_maximality(g, m)):
+    # traced, the solve runs its final phase, which closes the blossoms again
+    for run in (
+        lambda: find_maximum_matching(g, trace=lambda record: None),
+        lambda: certify_maximality(g, m),
+    ):
         assert 300 <= count_walk_steps(run) <= 20 * n
     assert certified(g, m)
     assert certified(g, planted)
@@ -755,3 +763,47 @@ def test_fully_matched_graphs_certify_as_the_general_path():
             reversed_pair = h - {(a, b)} | {(b, a)}
             assert not _fully_matched(reversed_pair, m)
             assert certify_maximality(reversed_pair, m) == expected
+
+
+def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
+    # An augmenting path ends at two unmatched vertices with edges, so the
+    # untraced solve stops once at most one is left, and its certificate
+    # runs the skipped phase on demand. A traced solve runs every phase.
+    rng = random.Random(79)
+    cases = [frozenset(), graph([(0, 1)]), graph([(0, 1), (5, 9)])]
+    cases += [graph((i, (i + 1) % n) for i in range(n)) for n in (3, 5, 9, 101)]
+    cases += [graph(itertools.combinations(range(2 * k + 1), 2)) for k in range(1, 6)]
+    for _ in range(60):
+        n = rng.randint(2, 30)
+        cases.append(random_graph(rng, n, rng.choice([0.1, 0.2, 0.4]), first=0))
+        even = 2 * (n // 2)
+        perfect = planted_perfect(rng, even, min(rng.randint(0, 3), even - 1))[0]
+        # a pendant vertex: a maximum matching leaves one vertex unmatched
+        cases += [perfect, perfect | {edge(rng.randrange(even), even)}]
+    for g in cases[:]:
+        if g:
+            ids = sorted(vertices(g))
+            gaps = dict(zip(ids, sorted(rng.sample(range(4 * len(g)), len(ids)))))
+            cases += [relabel(g, gaps.__getitem__), relabel(g, lambda v: 3 * v - 4)]
+    skipped = 0
+    for g in cases:
+        phases.clear()
+        m, certificate = _solve(g, None)
+        untraced = len(phases)
+        phases.clear()
+        traced_m, traced_certificate = _solve(g, [].append)
+        traced = len(phases)
+        assert m == traced_m
+        assert untraced in (traced - 1, traced)
+        skipped += untraced < traced
+        phases.clear()
+        cert = certificate()
+        assert len(phases) == traced - untraced
+        assert cert == traced_certificate() == certify_maximality(g, m)
+    # many skips, but not everywhere
+    assert len(cases) // 2 < skipped < len(cases)
+    odd_cycle = graph((i, (i + 1) % 1001) for i in range(1001))
+    for g in (odd_cycle, graph(itertools.combinations(range(5), 2))):
+        phases.clear()
+        find_maximum_matching(g)
+        assert phases == []

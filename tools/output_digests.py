@@ -1,12 +1,15 @@
 """Print one SHA-256 per bench workload over everything the engine outputs.
 
 For each workload of ``bench/workloads.py`` at the given seed, the digest
-covers every instance in order: its ``find_maximum_matching`` matching,
-sorted, the ``format_certificate`` text of its ``certify_maximality``
-certificate, and the trace records that ``find_maximum_matching`` writes.
-A change that claims to keep the output shows equal digests before and
-after it. ``--src`` names the package source to import, so that one copy
-of this script can digest two checkouts:
+covers every instance in order: its traced ``find_maximum_matching``
+matching, sorted, the ``format_certificate`` text of its
+``certify_maximality`` certificate, the trace records, the untraced
+matching, sorted, and the certificate text that the solve hands to
+``blossom solve --certificate``. A traced solve runs every phase; an
+untraced one may stop early and leave its certificate's phase to be run on
+demand, so both are covered. A change that claims to keep the output shows
+equal digests before and after it. ``--src`` names the package source to
+import, so that one copy of this script can digest two checkouts:
 
     python3 tools/output_digests.py --seed 1
     python3 tools/output_digests.py --seed 1 --src ../parent/src
@@ -35,10 +38,14 @@ def workload_digest(bl, workload: str, seed: int) -> str:
         cert = bl.certify_maximality(inst.graph, matching)
         if cert is None:
             raise SystemExit(f"{workload}/{inst.name}: the matching is not certified maximum")
+        untraced, certificate = bl.solver._solve(inst.graph, None)
         for part in (
             repr(sorted(matching)),
             bl.format_certificate(cert.contractions, cert.cover),
             *records,
+            repr(sorted(untraced)),
+            # as run_solve writes it
+            bl.format_certificate((), certificate().cover, offset=1),
         ):
             h.update(part.encode() + b"\n")
         h.update(b"\0")
