@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .graph import Edge, edge, edges_of_path, graph, is_path, is_simple, neighbours, vertices
-from .matching import is_alternating
+from .matching import is_alternating, is_matching
 
 T = TypeVar("T")
 
@@ -67,10 +67,12 @@ def is_blossom(
 ) -> bool:
     """Whether stem plus cycle form a blossom of the graph and matching.
 
-    The cycle must be odd, the whole walk must be a path of the graph that
-    alternates starting outside the matching, its vertices (counting the
-    cycle's base once) must be distinct, the first vertex must be unmatched,
-    and the stem must reach the base after an even number of edges.
+    The matching must be one, the cycle must be odd, the whole walk must be
+    a path of the graph that alternates starting outside the matching, its
+    vertices (counting the cycle's base once) must be distinct, and the
+    first vertex must be unmatched. The stem then reaches the base after an
+    even number of edges: after an odd number, the cycle's first and last
+    edges would both be matched edges at the base.
     """
     if not is_odd_cycle(cycle):
         return False
@@ -78,11 +80,11 @@ def is_blossom(
         return False
     whole = list(stem) + list(cycle)
     mset = graph(matching)
+    if not is_matching(mset):
+        return False
     if not is_alternating(lambda e: e not in mset, lambda e: e in mset, edges_of_path(whole)):
         return False
     if whole[0] in vertices(mset):
-        return False
-    if len(stem) % 2 != 0:
         return False
     return is_path(g, whole)
 

@@ -222,13 +222,17 @@ def test_verify_certificate_detects_tampering():
     assert not problems
     assert not report.verdict
 
-    # the contraction hides that vertex 1 is matched twice, and in the twin
-    # also that (1, 3) is not an edge; the flags judge the given matching
+    # vertex 1 is matched twice, so no walk is a blossom and the history
+    # stops at its first step; in the twin (1, 3) is not an edge either.
+    # The flags judge the given matching, the cover the uncontracted graph.
     triangle = ContractionStep([], [0, 1, 2, 0], 4)
     for extra in [(1, 3), (2, 3)]:
         g = graph([(0, 1), (1, 2), (0, 2), extra])
         report, problems = verify_certificate(g, {(1, 2), (1, 3)}, [triangle], [{3}])
-        assert not problems and report.cover_ok
+        assert problems == [
+            "contraction 1: its stem and cycle are not a blossom of the graph it was contracted in"
+        ]
+        assert not report.cover_ok and report.matching_size == 2
         assert not report.matching_ok and not report.verdict
         assert report.subset_ok == (extra == (1, 3))
 

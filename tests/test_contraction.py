@@ -82,8 +82,9 @@ def test_is_blossom():
     assert not is_blossom(DEMO7, DEMO7_MATCHING, [1], [3, 4, 5, 3])
     assert not is_blossom(DEMO7, DEMO7_MATCHING, [], [3, 4, 5, 3])  # base matched
     assert not is_blossom(DEMO7, frozenset(), [1, 2], [3, 4, 5, 3])  # no alternation
-    # an odd stem alternates into an odd cycle only when the base has two
-    # partners, so only an edge set that is not a matching gets this far
+    # an edge set that is not a matching has no blossom, even where the walk
+    # alternates: an odd stem into an odd cycle gives the base two partners
+    assert not is_blossom(DEMO7, DEMO7_MATCHING | {(5, 6)}, [1, 2], [3, 4, 5, 3])
     assert not is_blossom(TRIANGLE | {(0, 1)}, graph([(1, 2), (1, 3)]), [0], [1, 2, 3, 1])
 
 

@@ -1,4 +1,7 @@
+import importlib.util
+import io
 import itertools
+import pathlib
 import random
 import re
 import sys
@@ -8,6 +11,7 @@ import pytest
 import blossom.assembly
 import blossom.contraction
 import blossom.forest
+import blossom.solver
 from blossom import (
     InvariantViolation,
     brute_force_augmenting_path,
@@ -27,6 +31,7 @@ from blossom import (
     verify_maximum,
     vertices,
 )
+from blossom.cli import run_solve
 from blossom.solver import (
     _blossom_base,
     _direct_adjacency,
@@ -49,6 +54,7 @@ from support import (
     absorbed_blossom,
     augmenting_gadgets,
     count_phases,
+    dimacs,
     nested_blossoms,
     random_graph,
     random_matching,
@@ -405,9 +411,11 @@ def test_results_share_the_graphs_int_objects():
     objects = {id(v) for e in g for v in e}
     assert all(id(v) in objects for v in ids if adj[v])
     m = find_maximum_matching(g)
-    cert = certify_maximality(g, m)
     assert all(id(v) in objects for e in m for v in e)
-    assert all(id(v) in objects for s in cert.cover for v in s)
+    # the solve's own cover, then an equal matching's through the full path
+    for given in (m, frozenset(list(m))):
+        cert = certify_maximality(g, given)
+        assert all(id(v) in objects for s in cert.cover for v in s)
 
 
 def refuse_everywhere(monkeypatch, originals, message: str) -> set[str]:
@@ -855,3 +863,142 @@ def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
         phases.clear()
         find_maximum_matching(g)
         assert phases == []
+
+
+@pytest.fixture(scope="module")
+def bench_family_graphs() -> list[frozenset]:
+    """The first seed-1 graph of each generator family in the bench
+    workloads, told apart by the leading letters of the instance name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    firsts: dict[str, frozenset] = {}
+    for name in workloads.WORKLOADS:
+        for inst in workloads.instances(name, 1):
+            firsts.setdefault(re.match("[A-Za-z]+", inst.name).group(), inst.graph)
+    assert len(firsts) == 8
+    return list(firsts.values())
+
+
+@pytest.fixture
+def matching_checks(monkeypatch) -> list:
+    """One entry per matching check certify runs: every path but the one
+    that reads the cover of its own solve runs one."""
+    calls: list = []
+    original = blossom.solver._checked_matching
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(blossom.solver, "_checked_matching", counting)
+    return calls
+
+
+def test_certify_after_its_solve_reads_the_solves_cover(matching_checks, bench_family_graphs):
+    # the solve's own cover, with no intake and no check, is the one the
+    # full path reads off a phase of its own, and both verify
+    rng = random.Random(80)
+    cases = [
+        random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4]), first=0) for _ in range(60)
+    ]
+    # a frozenset with a pair given (larger, smaller) is canonicalised first
+    cases += [sparse_graph(rng, 200, 3), FULLY_MATCHED, frozenset(), frozenset([(3, 1), (1, 2)])]
+    for i, g in enumerate(cases + bench_family_graphs):
+        m = find_maximum_matching(g, trace=[].append if i % 3 == 0 else None)
+        last = blossom.solver._last_solve
+        assert last[0] is g and last[1] is m
+        matching_checks.clear()
+        own = certify_maximality(g, m)
+        assert matching_checks == [] and blossom.solver._last_solve is None
+        full = certify_maximality(g, frozenset(list(m)))
+        assert matching_checks == [None]
+        assert own == full
+        for cert in (own, full):
+            report, problems = verify_certificate(g, m, list(cert.contractions), cert.cover)
+            assert report.verdict and not problems
+
+
+@pytest.mark.parametrize("call", ["hit", "other matching", "list graph", "not maximum", "raises"])
+def test_every_certify_call_empties_the_memo(call):
+    m = find_maximum_matching(DEMO12)
+    assert blossom.solver._last_solve is not None
+    given = {
+        "hit": (DEMO12, m),
+        "other matching": (DEMO12, DEMO12_MATCHING),
+        "list graph": (sorted(DEMO12), m),
+        "not maximum": (DEMO7, DEMO7_MATCHING),
+        "raises": (DEMO12, [(1, 2), (2, 3)]),
+    }[call]
+    if call == "raises":
+        with pytest.raises(ValueError, match="^the given edge set is not a matching$"):
+            certify_maximality(*given)
+    else:
+        assert (certify_maximality(*given) is None) == (call == "not maximum")
+    assert blossom.solver._last_solve is None
+
+
+def test_certify_of_an_earlier_solve_takes_the_full_path(matching_checks):
+    m1 = find_maximum_matching(DEMO12)
+    m2 = find_maximum_matching(TAILED_TRIANGLE)
+    cert = certify_maximality(DEMO12, m1)
+    assert matching_checks == [None]
+    assert cert == certify_maximality(DEMO12, frozenset(list(m1)))
+    # the miss emptied the slot, so the later solve's pair misses too
+    assert certified(TAILED_TRIANGLE, m2) and len(matching_checks) == 3
+
+
+def test_only_a_frozenset_solve_fills_the_memo():
+    class Edges(frozenset):
+        pass
+
+    for g in (sorted(DEMO12), set(DEMO12), iter(DEMO12), Edges(DEMO12)):
+        find_maximum_matching(DEMO12)
+        find_maximum_matching(g)
+        assert blossom.solver._last_solve is None
+    # a solve that raises leaves no earlier solve's memo behind
+    find_maximum_matching(DEMO12)
+    with pytest.raises(ValueError):
+        find_maximum_matching(frozenset({(1, 1)}))
+    assert blossom.solver._last_solve is None
+
+
+def test_equal_copies_take_the_full_path(matching_checks):
+    expected = certify_maximality(DEMO12, find_maximum_matching(DEMO12))
+    for copy_graph in (False, True):
+        m = find_maximum_matching(DEMO12)
+        g = frozenset(list(DEMO12)) if copy_graph else DEMO12
+        given = m if copy_graph else frozenset(list(m))
+        assert g is not DEMO12 or given is not m
+        matching_checks.clear()
+        assert certify_maximality(g, given) == expected
+        assert matching_checks == [None]
+    # on that path a non-maximum matching is still refused, and so is an
+    # edge set that is not a matching
+    find_maximum_matching(DEMO7)
+    assert certify_maximality(DEMO7, DEMO7_MATCHING) is None
+    m = find_maximum_matching(PATH4)
+    with pytest.raises(ValueError, match="^the given edge set is not a matching$"):
+        certify_maximality(PATH4, m | {(2, 3)})
+
+
+def test_cli_solve_neither_reads_nor_writes_the_memo(tmp_path, monkeypatch):
+    class Untouchable:
+        def __getitem__(self, i):
+            raise AssertionError("the memo was read")
+
+    slot = Untouchable()
+    monkeypatch.setattr(blossom.solver, "_last_solve", slot)
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "cert.txt"
+    gpath.write_text(dimacs(12, DEMO12))
+    for certificate in (None, str(cpath)):
+        out = io.StringIO()
+        assert run_solve(str(gpath), certificate, out=out, err=io.StringIO()) == 0
+        assert out.getvalue().startswith("s 5\n")
+    assert cpath.read_text().startswith("c ")
+    assert blossom.solver._last_solve is slot

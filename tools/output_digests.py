@@ -3,13 +3,16 @@
 For each workload of ``bench/workloads.py`` at the given seed, the digest
 covers every instance in order: its traced ``find_maximum_matching``
 matching, sorted, the ``format_certificate`` text of its
-``certify_maximality`` certificate, the trace records, the untraced
-matching, sorted, and the certificate text that the solve hands to
-``blossom solve --certificate``. A traced solve runs every phase; an
-untraced one may stop early and leave its certificate's phase to be run on
-demand, so both are covered. A change that claims to keep the output shows
-equal digests before and after it. ``--src`` names the package source to
-import, so that one copy of this script can digest two checkouts:
+``certify_maximality`` certificate, the same text for an equal copy of the
+matching, the trace records, the untraced matching, sorted, and the
+certificate text that the solve hands to ``blossom solve --certificate``.
+Certify given the solve's own matching object reads that solve's cover;
+given a copy, it checks the matching and runs its own phase, so both paths
+are covered. A traced solve runs every phase; an untraced one may stop
+early and leave its certificate's phase to be run on demand, so both are
+covered too. A change that claims to keep the output shows equal digests
+before and after it. ``--src`` names the package source to import, so that
+one copy of this script can digest two checkouts:
 
     python3 tools/output_digests.py --seed 1
     python3 tools/output_digests.py --seed 1 --src ../parent/src
@@ -36,12 +39,15 @@ def workload_digest(bl, workload: str, seed: int) -> str:
         records: list[str] = []
         matching = bl.find_maximum_matching(inst.graph, trace=records.append)
         cert = bl.certify_maximality(inst.graph, matching)
-        if cert is None:
+        # frozenset(matching) would be matching itself, not a copy
+        copied = bl.certify_maximality(inst.graph, frozenset(list(matching)))
+        if cert is None or copied is None:
             raise SystemExit(f"{workload}/{inst.name}: the matching is not certified maximum")
         untraced, certificate = bl.solver._solve(inst.graph, None)
         for part in (
             repr(sorted(matching)),
             bl.format_certificate(cert.contractions, cert.cover),
+            bl.format_certificate(copied.contractions, copied.cover),
             *records,
             repr(sorted(untraced)),
             # as run_solve writes it
