@@ -367,23 +367,15 @@ def certify_maximality(
     When ``g`` and ``matching`` are the very objects that the last
     ``find_maximum_matching`` call took and returned, and no certify call
     came between, the cover is that solve's own (``_solve``): nothing is
-    read or checked again. The test is identity, not equality; an equal
-    copy of either takes the paths below. Every call, hit or miss, releases
-    what that solve kept.
-
-    When both are frozensets and every vertex with an edge is matched, no
-    augmenting path exists, as one ends at two unmatched vertices: the
-    matching is checked as always, and the cover is the phase's for an
-    empty forest, ``leftover_cover`` over every matched pair, with no
-    adjacency built.
+    read or checked again. The test is identity, not equality. Any other
+    call, an equal copy of either among them, reads and checks both and
+    always runs one phase. Every call, hit or miss, releases what that
+    solve kept.
     """
     global _last_solve
     last, _last_solve = _last_solve, None
     if last is not None and last[0] is g and last[1] is matching:
         return last[2]()
-    if type(g) is frozenset and type(matching) is frozenset and _fully_matched(g, matching):
-        mset = _checked_matching(g, matching)
-        return MaximalityCertificate((), frozenset(leftover_cover(sorted(mset))))
     gset, ids, index, adj = _renumber(g)
     mset = _checked_matching(gset, matching)
     mate = [-1] * len(ids)
@@ -392,28 +384,6 @@ def certify_maximality(
         mate[i], mate[j] = j, i
     forest = _augment_phase(adj, mate, ids, None)
     return None if forest is None else _certificate(mate, ids, *forest)
-
-
-def _fully_matched(g: frozenset, matching: frozenset) -> bool:
-    """Whether every member of ``g`` passes ``graph()``'s canonical check,
-    an ``(a, b)`` tuple with ``a < b``, and has both ends in ``matching``.
-    Only a certify call that does not follow its own solve pays for it.
-    This Python loop is the fastest form tried: a C-level one (``map`` over
-    types and lengths, ``zip`` and ``issuperset``) was 2.4 to 3.5 times
-    slower on the bench graphs, and 43 times on a miss, where this loop
-    stops at the first unmatched end."""
-    try:
-        matched = set(chain.from_iterable(matching))
-        for e in g:
-            if type(e) is not tuple:
-                return False
-            a, b = e
-            if not a < b or a not in matched or b not in matched:
-                return False
-    except (TypeError, ValueError):
-        # not pairs of comparable values: the general path raises or copes
-        return False
-    return True
 
 
 def _certificate(

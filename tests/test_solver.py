@@ -36,7 +36,6 @@ from blossom.solver import (
     _blossom_base,
     _direct_adjacency,
     _flip_to_root,
-    _fully_matched,
     _link_blossom_path,
     _renumber,
     _solve,
@@ -364,15 +363,13 @@ def test_intake_fallbacks_give_the_result_of_graph(monkeypatch):
 )
 def test_frozensets_of_other_members_solve_as_their_lists(pairs):
     # the one-loop intake gives members that are not pairs of ints to
-    # graph(), and the fully-matched test gives members that are not tuples
-    # to the general path: each then reads them as it reads the list
+    # graph(), which reads them as it reads the list
     g = frozenset(pairs)
     m = find_maximum_matching(pairs)
     assert find_maximum_matching(g) == m
     for given in (m, frozenset()):
         assert certify_maximality(g, frozenset(given)) == certify_maximality(pairs, given)
     assert certify_maximality(g, frozenset()) is None
-    assert _fully_matched(g, m) == (type(pairs[0]) is tuple)
     # bool is an int: only the bool pairs pass the one-loop intake
     assert (_direct_adjacency(g) is not None) == (pairs == [(False, True)])
 
@@ -387,7 +384,7 @@ def test_frozensets_of_other_members_solve_as_their_lists(pairs):
 )
 def test_frozensets_of_bad_members_raise_as_their_lists(pairs, error):
     g = frozenset(pairs)
-    assert _direct_adjacency(g) is None and not _fully_matched(g, frozenset())
+    assert _direct_adjacency(g) is None
     for call in (
         lambda: find_maximum_matching(pairs),
         lambda: find_maximum_matching(g),
@@ -715,7 +712,7 @@ def old_intake_error(g, pairs) -> str | None:
 
 def test_certify_checks_the_matching_as_before():
     rng = random.Random(69)
-    seen, shortcut = set(), set()
+    seen = set()
     for _ in range(3000):
         g = random_graph(rng, rng.randint(2, 8), 0.5, first=rng.choice([0, 1]))
         pool = sorted(g) + [(rng.randint(0, 10), rng.randint(0, 10)) for _ in range(2)]
@@ -727,16 +724,13 @@ def test_certify_checks_the_matching_as_before():
             error = old_intake_error(g, given)
             kind = error and error.rstrip("0123456789")
             seen.add(kind)
-            # a frozenset that meets every vertex of g takes certify's shortcut
-            if type(given) is frozenset and _fully_matched(g, given):
-                shortcut.add(kind)
             if error is None:
                 certify_maximality(g, given)
             else:
                 with pytest.raises(ValueError) as info:
                     certify_maximality(g, given)
                 assert str(info.value) == error
-    assert seen == shortcut == {
+    assert seen == {
         None,
         "self-loop at vertex ",
         "the given edge set is not a matching",
@@ -746,26 +740,6 @@ def test_certify_checks_the_matching_as_before():
         find_maximum_matching([(1, 2), (4, 4)])
     with pytest.raises(ValueError, match="^self-loop at vertex 4$"):
         certify_maximality(PATH4, [(1, 2), (2, 3), (4, 4)])
-
-
-def test_fully_matched_frozensets_build_no_adjacency(monkeypatch):
-    # every augmenting path ends at two unmatched vertices, so when every
-    # vertex with an edge is matched certify reads no graph structure
-    m = find_maximum_matching(FULLY_MATCHED)
-    assert 2 * len(m) == len(vertices(FULLY_MATCHED))
-
-    def refuse(g):
-        raise AssertionError("certify built an adjacency")
-
-    monkeypatch.setattr(blossom.solver, "_renumber", refuse)
-    assert certified(FULLY_MATCHED, m)
-    assert certified(graph([(0, 1)]), graph([(0, 1)]))
-    assert certified(frozenset(), frozenset())
-    # a vertex with an edge and no partner, at either end of its pair, or a
-    # graph that is no frozenset, takes the general path
-    for g in (FULLY_MATCHED | {(0, 60)}, FULLY_MATCHED | {(-1, 0)}, sorted(FULLY_MATCHED)):
-        with pytest.raises(AssertionError, match="^certify built an adjacency$"):
-            certify_maximality(g, m)
 
 
 @pytest.mark.parametrize("case", ["fully matched", "unmatched vertices", "not maximum"])
@@ -782,9 +756,10 @@ def test_one_shot_iterators_certify_as_the_frozensets(case):
         assert certify_maximality(g_form(g), m_form(m)) == expected, (g_form, m_form)
 
 
-def test_fully_matched_graphs_certify_as_the_general_path():
-    # the shortcut's certificate is the one solve --certificate writes and
-    # the one the general path reads off its phase, and it verifies
+def test_fully_matched_graphs_certify_as_their_solve():
+    # certify of the solve's own matching, of a planted perfect matching and
+    # of equal copies gives the certificate solve --certificate writes, and
+    # it verifies
     rng = random.Random(78)
     cases = [(graph([(0, 1)]), graph([(0, 1)])), (frozenset(), frozenset())]
     for _ in range(40):
@@ -803,21 +778,17 @@ def test_fully_matched_graphs_certify_as_the_general_path():
         m, certificate = _solve(h, None)
         expected = certificate()
         for given in (m, planted):
-            assert _fully_matched(h, given)
             cert = certify_maximality(h, given)
             assert cert == certify_maximality(set(h), given)
             report, problems = verify_certificate(h, given, [], cert.cover)
             assert report.verdict and not problems
         assert certify_maximality(h, m) == expected
-        # non-canonical members: a reversed graph pair takes the general
-        # path, a reversed matching pair the shortcut
+        # non-canonical members: a reversed graph pair or matching pair
         flipped = frozenset((b, a) if rng.random() < 0.5 else (a, b) for a, b in m)
-        assert _fully_matched(h, flipped)
         assert certify_maximality(h, flipped) == expected
         if h:
             a, b = min(h)
             reversed_pair = h - {(a, b)} | {(b, a)}
-            assert not _fully_matched(reversed_pair, m)
             assert certify_maximality(reversed_pair, m) == expected
 
 

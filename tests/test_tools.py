@@ -1,0 +1,43 @@
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_refuses_one_tree_on_both_sides(tmp_path, monkeypatch, capsys):
+    # a change that is not committed yet leaves --change HEAD on the
+    # parent's tree, and timing a tree against itself looks like a record
+    bench_pairs = load("bench_pairs")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (tmp_path / "a").write_text("a\n")
+    subprocess.run([*git, "add", "a"], check=True)
+    for _ in range(2):
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("bench_pairs ran a side")
+
+    monkeypatch.setattr(bench_pairs, "export", refuse)
+    monkeypatch.setattr(bench_pairs, "bench", refuse)
+    for parent in ("HEAD", "HEAD~1"):
+        assert bench_pairs.main(["--parent", parent, "--change", "HEAD", "--pr", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --parent {parent} and --change HEAD have the same tree\n"
+    # two trees go on to the export
+    (tmp_path / "a").write_text("b\n")
+    subprocess.run([*git, "commit", "-q", "-am", "c"], check=True)
+    with pytest.raises(AssertionError, match="^bench_pairs ran a side$"):
+        bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD", "--pr", "0"])
+    assert not (tmp_path / "BENCH_0.json").exists()

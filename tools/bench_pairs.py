@@ -10,7 +10,10 @@ odd pairs run the parent first and even pairs the change. The record holds,
 per seed, workload and end-to-end metric, both sides' medians and
 quartiles, the change's relative difference and the number of pairs in
 which the change read lower, and the ``tools/output_digests.py`` digests of
-both sides, made with this checkout's copy of that script:
+both sides, made with this checkout's copy of that script. Two revisions
+with the same tree are refused before anything runs; to time an
+uncommitted tree, pass the commit that ``git stash create`` prints as
+``--change``:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr 1
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 1 \\
@@ -115,6 +118,10 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"pairs at seed {HELD_OUT_SEED}, at least 2 (default 5)")
     parser.add_argument("--claim", default="none", help="the claim the record supports")
     args = parser.parse_args(argv)
+    if git("rev-parse", f"{args.parent}^{{tree}}") == git("rev-parse", f"{args.change}^{{tree}}"):
+        print(f"error: --parent {args.parent} and --change {args.change} have the same tree",
+              file=sys.stderr)
+        return 1
     out_path = ROOT / f"BENCH_{args.pr}.json"
     plan = [(DEFAULT_SEED, args.pairs), (HELD_OUT_SEED, args.held_out_pairs)]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
