@@ -757,9 +757,9 @@ def test_one_shot_iterators_certify_as_the_frozensets(case):
 
 
 def test_fully_matched_graphs_certify_as_their_solve():
-    # certify of the solve's own matching, of a planted perfect matching and
-    # of equal copies gives the certificate solve --certificate writes, and
-    # it verifies
+    # certify of a fully matched graph, with the solve's matching, a planted
+    # perfect matching or pairs given reversed, gives the certificate that
+    # solve --certificate writes, and it verifies
     rng = random.Random(78)
     cases = [(graph([(0, 1)]), graph([(0, 1)])), (frozenset(), frozenset())]
     for _ in range(40):
