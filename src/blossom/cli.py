@@ -27,7 +27,7 @@ from .certificate import (
 )
 from .graph import Edge, edge
 from .oracle import OracleLimitError, brute_force_maximum_matching
-from .solver import _solve
+from .solver import certify_maximality, find_maximum_matching
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -172,15 +172,16 @@ def run_solve(
 ) -> int:
     """Solve a graph file and print the maximum matching in ``s``/``m`` form.
 
-    With a certificate path, the odd set cover read off a phase that fails
-    to augment the matching is written there: the solve's own last phase,
-    or, when counting proved the matching maximum before that phase ran,
-    the phase run then. It has ``s`` lines only, a cover of the input graph
-    with no contraction history. It is
-    written before the matching is printed, so a failed write leaves
-    standard output empty. With trace enabled, one ``grow``, ``found`` or
-    ``skip`` record per edge a phase examines goes to standard error, with
-    the input's vertex ids shifted to 0-based.
+    With a certificate path, ``certify_maximality`` of the solve's own
+    matching is written there, which reads the cover the solve holds: a flat
+    odd set cover of the input graph in ``s`` lines, with no contraction
+    history. It is written before the matching is printed, so a failed write
+    leaves standard output empty. Without one, the solve stays in the
+    library's slot (see ``find_maximum_matching``) until the next solve or
+    certify call, or the end of the process.
+    With trace enabled, one ``grow``, ``found`` or ``skip`` record per edge a
+    phase examines goes to standard error, with the input's vertex ids
+    shifted to 0-based.
     Any unexpected exception ends in exit code 3 and one line of error.
     """
     out = out if out is not None else sys.stdout
@@ -191,9 +192,10 @@ def run_solve(
     _, g = loaded
     tracer = (lambda line: print(line, file=err)) if trace else None
     try:
-        matching, certificate = _solve(g, tracer)
+        matching = find_maximum_matching(g, trace=tracer)
         if certificate_path is not None:
-            certificate_text = format_certificate((), certificate().cover, offset=1)
+            cover = certify_maximality(g, matching).cover
+            certificate_text = format_certificate((), cover, offset=1)
     except Exception as exc:  # any failure of the solver is an internal error
         return _internal_error(exc, err)
     if certificate_path is not None:

@@ -78,29 +78,18 @@ def find_maximum_matching(
     ``run_search`` uses and with the input's vertex ids.
 
     When ``g`` is a ``frozenset``, the graph, the matching and the solve's
-    certificate function (see ``_solve``) are kept until the next solve or
+    certificate function are kept until the next solve or
     ``certify_maximality`` call, so that ``certify_maximality(g, matching)``
-    reads the cover this solve already has. What is kept, the adjacency,
-    the partners and the last forest, is about 13 MiB for a sparse graph of
-    80,000 vertices and 120,000 edges.
+    reads the cover this solve already has: off the forest of the last
+    phase, the one that failed to augment, or, when counting ended the solve
+    before that phase, of that phase run on demand. The skipped phase would
+    not have changed the matching. What is kept, the adjacency, the partners
+    and the last forest, is about 13 MiB for a sparse graph of 80,000
+    vertices and 120,000 edges.
     """
     global _last_solve
     # released first: a solve that raises leaves no earlier solve's slot
     _last_solve = None
-    matching, certificate = _solve(g, trace)
-    if type(g) is frozenset:
-        _last_solve = g, matching, certificate
-    return matching
-
-
-def _solve(
-    g: Iterable[Edge], trace: Trace | None
-) -> tuple[frozenset[Edge], Callable[[], MaximalityCertificate]]:
-    """``find_maximum_matching``'s matching, and a function that returns its
-    certificate (``_certificate``): read off the forest of the solve's last
-    phase, the one that failed to augment, or, when counting ended the solve
-    before that phase, of that phase run on demand. The skipped phase would
-    not have changed ``mate``, so the matching is the same either way."""
     gset, ids, _, adj = _renumber(g)
     n = len(ids)
     mate = [-1] * n
@@ -132,7 +121,9 @@ def _solve(
             raise InvariantViolation("a phase augmented a matching that counting proved maximum")
         return _certificate(mate, ids, *found)
 
-    return matching, certificate
+    if type(g) is frozenset:
+        _last_solve = g, matching, certificate
+    return matching
 
 
 def _renumber(
@@ -366,8 +357,8 @@ def certify_maximality(
 
     When ``g`` and ``matching`` are the very objects that the last
     ``find_maximum_matching`` call took and returned, and no certify call
-    came between, the cover is that solve's own (``_solve``): nothing is
-    read or checked again. The test is identity, not equality. Any other
+    came between, the cover is that solve's own: nothing is read or checked
+    again. The test is identity, not equality. Any other
     call, an equal copy of either among them, reads and checks both and
     always runs one phase. Every call, hit or miss, releases what that
     solve kept.

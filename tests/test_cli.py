@@ -426,7 +426,7 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     def boom(g, trace):
         raise InvariantViolation("induced for the test")
 
-    monkeypatch.setattr(cli, "_solve", boom)
+    monkeypatch.setattr(cli, "find_maximum_matching", boom)
     (tmp_path / "g.txt").write_text(TRIANGLE_TEXT)
     out, err = io.StringIO(), io.StringIO()
     assert run_solve(str(tmp_path / "g.txt"), out=out, err=err) == 3
@@ -453,7 +453,9 @@ def test_a_phase_that_augments_a_counted_maximum_is_an_internal_error(tmp_path, 
     )
 
 
-@pytest.mark.parametrize("target", ["_solve", "verify_certificate"])
+@pytest.mark.parametrize(
+    "target", ["find_maximum_matching", "certify_maximality", "verify_certificate"]
+)
 def test_unexpected_errors_exit_three_on_one_line(tmp_path, monkeypatch, target):
     import blossom.cli as cli
 
@@ -464,9 +466,12 @@ def test_unexpected_errors_exit_three_on_one_line(tmp_path, monkeypatch, target)
     (tmp_path / "g.txt").write_text(TRIANGLE_TEXT)
     (tmp_path / "m.txt").write_text("s 1\nm 1 2\n")
     (tmp_path / "c.txt").write_text("s 1 2 3\n")
+    cpath = tmp_path / "cert.txt"
     out, err = io.StringIO(), io.StringIO()
-    if target == "_solve":
+    if target == "find_maximum_matching":
         code = run_solve(str(tmp_path / "g.txt"), out=out, err=err)
+    elif target == "certify_maximality":
+        code = run_solve(str(tmp_path / "g.txt"), str(cpath), out=out, err=err)
     else:
         code = run_verify(
             str(tmp_path / "g.txt"),
@@ -475,7 +480,7 @@ def test_unexpected_errors_exit_three_on_one_line(tmp_path, monkeypatch, target)
             out=out,
             err=err,
         )
-    assert code == 3
+    assert code == 3 and out.getvalue() == "" and not cpath.exists()
     assert err.getvalue().splitlines() == ["internal error: RuntimeError: induced for the test"]
 
 

@@ -31,14 +31,13 @@ from blossom import (
     verify_maximum,
     vertices,
 )
-from blossom.cli import run_solve
+from blossom.cli import parse_matching_file, run_solve
 from blossom.solver import (
     _blossom_base,
     _direct_adjacency,
     _flip_to_root,
     _link_blossom_path,
     _renumber,
-    _solve,
 )
 from support import (
     DEMO7,
@@ -211,6 +210,12 @@ def certified(g, m) -> bool:
         return False
     report, problems = verify_certificate(g, m, list(cert.contractions), cert.cover)
     return report.verdict and not problems
+
+
+def in_memo(g, m) -> bool:
+    """Whether the certify memo holds these very objects as its solve's."""
+    last = blossom.solver._last_solve
+    return last is not None and last[0] is g and last[1] is m
 
 
 def test_engine_agrees_with_the_reference_loop():
@@ -775,8 +780,9 @@ def test_fully_matched_graphs_certify_as_their_solve():
         ):
             cases.append((relabel(g, label), relabel(planted, label)))
     for h, planted in cases:
-        m, certificate = _solve(h, None)
-        expected = certificate()
+        m = find_maximum_matching(h)
+        assert in_memo(h, m)
+        expected = certify_maximality(h, m)
         for given in (m, planted):
             cert = certify_maximality(h, given)
             assert cert == certify_maximality(set(h), given)
@@ -815,18 +821,23 @@ def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
     skipped = 0
     for g in cases:
         phases.clear()
-        m, certificate = _solve(g, None)
+        m = find_maximum_matching(g)
         untraced = len(phases)
+        assert in_memo(g, m)
         phases.clear()
-        traced_m, traced_certificate = _solve(g, [].append)
+        cert = certify_maximality(g, m)
+        on_demand = len(phases)
+        phases.clear()
+        traced_m = find_maximum_matching(g, trace=[].append)
         traced = len(phases)
+        assert in_memo(g, traced_m)
+        traced_cert = certify_maximality(g, traced_m)
         assert m == traced_m
         assert untraced in (traced - 1, traced)
         skipped += untraced < traced
-        phases.clear()
-        cert = certificate()
-        assert len(phases) == traced - untraced
-        assert cert == traced_certificate() == certify_maximality(g, m)
+        assert on_demand == traced - untraced
+        # the memo is empty now, so this certify runs a phase of its own
+        assert cert == traced_cert == certify_maximality(g, m)
     # many skips, but not everywhere
     assert len(cases) // 2 < skipped < len(cases)
     odd_cycle = graph((i, (i + 1) % 1001) for i in range(1001))
@@ -882,8 +893,7 @@ def test_certify_after_its_solve_reads_the_solves_cover(matching_checks, bench_f
     cases += [sparse_graph(rng, 200, 3), FULLY_MATCHED, frozenset(), frozenset([(3, 1), (1, 2)])]
     for i, g in enumerate(cases + bench_family_graphs):
         m = find_maximum_matching(g, trace=[].append if i % 3 == 0 else None)
-        last = blossom.solver._last_solve
-        assert last[0] is g and last[1] is m
+        assert in_memo(g, m)
         matching_checks.clear()
         own = certify_maximality(g, m)
         assert matching_checks == [] and blossom.solver._last_solve is None
@@ -958,18 +968,30 @@ def test_equal_copies_take_the_full_path(matching_checks):
         certify_maximality(PATH4, m | {(2, 3)})
 
 
-def test_cli_solve_neither_reads_nor_writes_the_memo(tmp_path, monkeypatch):
-    class Untouchable:
-        def __getitem__(self, i):
-            raise AssertionError("the memo was read")
+def test_cli_solve_takes_the_library_flow(tmp_path, monkeypatch, matching_checks):
+    # solve --certificate is certify_maximality of the solve's own matching:
+    # one intake, no matching check, and certify empties the memo; a solve
+    # without a certificate leaves the parsed graph and its matching there
+    renumbered: list = []
+    original = blossom.solver._renumber
 
-    slot = Untouchable()
-    monkeypatch.setattr(blossom.solver, "_last_solve", slot)
+    def recording(g):
+        renumbered.append(g)
+        return original(g)
+
+    monkeypatch.setattr(blossom.solver, "_renumber", recording)
+    monkeypatch.setattr(blossom.solver, "_last_solve", None)
     gpath, cpath = tmp_path / "g.txt", tmp_path / "cert.txt"
     gpath.write_text(dimacs(12, DEMO12))
-    for certificate in (None, str(cpath)):
-        out = io.StringIO()
-        assert run_solve(str(gpath), certificate, out=out, err=io.StringIO()) == 0
-        assert out.getvalue().startswith("s 5\n")
+    assert run_solve(str(gpath), str(cpath), out=io.StringIO(), err=io.StringIO()) == 0
     assert cpath.read_text().startswith("c ")
-    assert blossom.solver._last_solve is slot
+    assert len(renumbered) == 1 and matching_checks == []
+    assert blossom.solver._last_solve is None
+    renumbered.clear()
+    out = io.StringIO()
+    assert run_solve(str(gpath), out=out, err=io.StringIO()) == 0
+    (g,) = renumbered
+    assert g == graph((a - 1, b - 1) for a, b in DEMO12)
+    last = blossom.solver._last_solve
+    assert last[0] is g and last[1] == parse_matching_file(out.getvalue(), 12)
+    assert matching_checks == []

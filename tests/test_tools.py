@@ -1,5 +1,7 @@
 import importlib.util
+import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,17 @@ def test_bench_pairs_refuses_one_tree_on_both_sides(tmp_path, monkeypatch, capsy
     with pytest.raises(AssertionError, match="^bench_pairs ran a side$"):
         bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD", "--pr", "0"])
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_output_digests_prints_one_digest_per_workload():
+    # which maximum matching the engine returns is not part of the contract,
+    # so no digest value is pinned: the tool runs and prints one per workload
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "output_digests.py"), "--seed", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(re.fullmatch(r"\w+ 1 [0-9a-f]{64}", line) for line in lines), lines
+    names = [line.split()[0] for line in lines]
+    assert names == ["dense_blossoms", "long_paths", "certificates", "small_batch"]
