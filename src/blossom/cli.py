@@ -5,16 +5,17 @@ Graph files use the DIMACS edge dialect: ``c`` comment lines, one
 ``p edge <vertices> <edges>`` header, and ``e <u> <v>`` lines with 1-based
 vertex ids. Matchings are written as ``m <u> <v>`` lines preceded by an
 ``s <size>`` line. Every number is written in ASCII decimal digits, with no
-sign; a number that is read has at most 4,300 after its leading zeros.
-Lines end at a line feed only. Vertex ids are 1-based in every file;
+sign; a number that is read has at most 4,300 digits after its leading
+zeros. Lines end at a line feed only. Vertex ids are 1-based in every file;
 internally they are shifted down by one. Every input file is read, decoded
 and parsed by one loader, which reports a failure on one line naming the
-file (exit code 1).
+file (exit code 1); a failed write to standard output is one line too.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 from typing import TextIO, TypeVar
@@ -179,9 +180,9 @@ def run_solve(
     leaves standard output empty. Without one, the solve stays in the
     library's slot (see ``find_maximum_matching``) until the next solve or
     certify call, or the end of the process.
-    With trace enabled, one ``grow``, ``found`` or ``skip`` record per edge a
-    phase examines goes to standard error, with the input's vertex ids
-    shifted to 0-based.
+    With trace enabled, one ``grow``, ``found`` or ``skip`` record per edge
+    a phase of the solve examines goes to standard error, with the input's
+    vertex ids shifted to 0-based; a phase that certify runs is not traced.
     Any unexpected exception ends in exit code 3 and one line of error.
     """
     out = out if out is not None else sys.stdout
@@ -319,11 +320,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors exit 1 (exit 2 means a failed check)
         return EXIT_PARSE if exc.code else EXIT_OK
-    if args.command == "solve":
-        return run_solve(args.graph, args.certificate, args.trace)
-    if args.command == "verify":
-        return run_verify(args.graph, args.matching, args.certificate)
-    return run_oracle(args.graph)
+    try:
+        if args.command == "solve":
+            code = run_solve(args.graph, args.certificate, args.trace)
+        elif args.command == "verify":
+            code = run_verify(args.graph, args.matching, args.certificate)
+        else:
+            code = run_oracle(args.graph)
+        sys.stdout.flush()
+    except OSError as exc:  # the subcommands catch their own file errors
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        # what is still buffered would fail again, with a report, at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

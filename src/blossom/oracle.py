@@ -150,10 +150,8 @@ def brute_force_augmenting_path(
         return None
 
     def extend_matched_step(v: int) -> list[int] | None:
-        # the next edge must be the matching edge at v, if still usable
-        w = partner.get(v)
-        if w is None or w in on_path:
-            return None
+        # the next edge must be the matching edge at v
+        w = partner[v]
         path.append(w)
         on_path.add(w)
         found = extend_unmatched_step(w)

@@ -69,23 +69,23 @@ def find_maximum_matching(
     alternating forest rooted at every unmatched vertex, in sorted order. An
     examined edge that joins two live trees augments the matching along
     their root paths, and both trees are dead for the rest of the phase, so
-    one phase augments along many vertex-disjoint paths. A blossom closed on the way is
-    contracted in place, by relabelling the base of its vertices. The solve
-    ends after the first phase that does not augment, or, without a
-    ``trace``, as soon as at most one vertex with edges is unmatched: an
-    augmenting path ends at two of them, so the matching is maximum (Berge).
-    ``trace`` receives one record per edge a phase examines, in the layouts
-    ``run_search`` uses and with the input's vertex ids.
+    one phase augments along many vertex-disjoint paths. A blossom closed on
+    the way is contracted in place, by relabelling the base of its vertices.
+    The solve ends after the first phase that does not augment, or as soon
+    as at most one vertex with edges is unmatched: an augmenting path ends
+    at two of them, so the matching is maximum (Berge). ``trace`` receives
+    one record per edge a phase examines, in the layouts ``run_search``
+    uses and with the input's vertex ids, and changes nothing the solve does.
 
     When ``g`` is a ``frozenset``, the graph, the matching and the solve's
     certificate function are kept until the next solve or
     ``certify_maximality`` call, so that ``certify_maximality(g, matching)``
     reads the cover this solve already has: off the forest of the last
     phase, the one that failed to augment, or, when counting ended the solve
-    before that phase, of that phase run on demand. The skipped phase would
-    not have changed the matching. What is kept, the adjacency, the partners
-    and the last forest, is about 13 MiB for a sparse graph of 80,000
-    vertices and 120,000 edges.
+    before that phase, of that phase run on demand, untraced. The skipped
+    phase would not have changed the matching. What is kept, the adjacency,
+    the partners and the last forest, is about 13 MiB for a sparse graph of
+    80,000 vertices and 120,000 edges.
     """
     global _last_solve
     # released first: a solve that raises leaves no earlier solve's slot
@@ -103,8 +103,7 @@ def find_maximum_matching(
     isolated = adj.count([])
     forest = None
     for _ in range(n // 2 + 1):
-        # Traced, every phase runs, so the records stay those of a full solve.
-        if trace is None and mate.count(-1) - isolated < 2:
+        if mate.count(-1) - isolated < 2:
             break
         forest = _augment_phase(adj, mate, ids, trace)
         if forest is not None:

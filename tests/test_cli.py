@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import os
@@ -307,11 +308,17 @@ def test_solve_reports_parse_errors(tmp_path):
 
 
 def test_solve_trace_streams_search_records(tmp_path):
-    code, _, err, _ = _solve(tmp_path, DEMO7_TEXT, trace=True)
+    code, out, err, _ = _solve(tmp_path, DEMO12_TEXT, trace=True)
     assert code == EXIT_OK
+    assert out == _solve(tmp_path, DEMO12_TEXT)[1]
     records = [line for line in err.splitlines() if line]
     assert records
     assert all(line.split()[0] in ("grow", "found", "skip") for line in records)
+    # the greedy start is maximum here, so counting ends the solve before
+    # any phase and the trace has nothing to report
+    code, out, err, _ = _solve(tmp_path, DEMO7_TEXT, trace=True)
+    assert code == EXIT_OK and err == ""
+    assert out == _solve(tmp_path, DEMO7_TEXT)[1]
 
 
 def test_solve_interleaved_odd_cycle(tmp_path):
@@ -505,6 +512,75 @@ def test_solve_under_python_optimize(tmp_path):
         )
         assert done.returncode == 0, done.stdout + done.stderr
         assert "maximality certified: yes" in done.stdout
+
+
+def _cli(args, stdout):
+    """Run ``python -m blossom.cli`` on this checkout's package, with
+    standard output sent where the caller says."""
+    src = Path(blossom.__file__).resolve().parents[1]
+    return subprocess.Popen(
+        [sys.executable, "-m", "blossom.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_a_closed_pipe_on_standard_output_is_one_line(tmp_path):
+    # the matching of a 20,000-vertex path is about 129 KB, more than a pipe
+    # holds, so the solve is still writing when the reader goes away
+    n = 20000
+    (tmp_path / "g.txt").write_text(dimacs(n, [(i, i + 1) for i in range(1, n)]))
+    proc = _cli(["solve", str(tmp_path / "g.txt")], subprocess.PIPE)
+    assert proc.stdout.readline() == f"s {n // 2}\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_PARSE
+    assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_standard_output_is_one_line(tmp_path):
+    (tmp_path / "g.txt").write_text(DEMO12_TEXT)
+    with open("/dev/full", "w") as full:
+        proc = _cli(["solve", str(tmp_path / "g.txt")], full)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_PARSE
+    assert err == "error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+class _FullStandardOutput(io.StringIO):
+    """A standard output whose every write fails as on a full disk, over a
+    descriptor of its own for the CLI to point elsewhere."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+def test_every_subcommand_reports_a_failed_write_to_standard_output(
+    tmp_path, monkeypatch, command
+):
+    (tmp_path / "g.txt").write_text(DEMO7_TEXT)
+    (tmp_path / "m.txt").write_text("s 1\nm 1 2\n")
+    paths = [str(tmp_path / "g.txt")] + ([str(tmp_path / "m.txt")] if command == "verify" else [])
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _FullStandardOutput(fd))
+    monkeypatch.setattr(sys, "stderr", err)
+    try:
+        assert main([command, *paths]) == EXIT_PARSE
+    finally:
+        os.close(fd)
+    assert err.getvalue() == "error: cannot write standard output: [Errno 28] No space left on device\n"
 
 
 def test_verify_single_edge_with_singleton_cover(tmp_path):

@@ -261,15 +261,17 @@ GROW = re.compile(r"grow (\d+) (\d+) label \2 odd (\d+) label (\d+) even \3 pare
 FOUND_OR_SKIP = re.compile(r"(found|skip) \d+ \d+")
 
 
-def test_trace_records_use_the_search_layouts_and_input_ids():
+def test_trace_records_use_the_search_layouts_and_input_ids(phases):
     searched: list[str] = []
     run_search(DEMO7, DEMO7_MATCHING, trace=searched.append)
-    # greedy matches (0, 1) of the last graph; its phase then finds the edge
-    # (3, 1) joining the live trees rooted at 2 and 3
+    # greedy is already maximum on DEMO7, so counting ends its solve before
+    # any phase; greedy matches (0, 1) of the last graph, and its phase then
+    # finds the edge (3, 1) joining the live trees rooted at 2 and 3
     for g in (DEMO7, DEMO12, graph([(0, 1), (0, 2), (1, 3)])):
         records: list[str] = []
+        phases.clear()
         find_maximum_matching(g, trace=records.append)
-        assert records
+        assert bool(records) == bool(phases) == (g is not DEMO7)
         for record in records + searched:
             assert GROW.fullmatch(record) or FOUND_OR_SKIP.fullmatch(record), record
         assert {int(t) for r in records for t in r.split() if t.isdigit()} <= vertices(g)
@@ -515,12 +517,12 @@ def test_many_small_trees_augment_in_one_phase(phases):
         count = rng.randint(1, 40)
         g, planted, size = augmenting_gadgets(rng, count)
         phases.clear()
-        find_maximum_matching(g)
+        m = find_maximum_matching(g)
         # the first phase augments every gadget and leaves nothing unmatched
         assert len(phases) == 1
-        phases.clear()
-        find_maximum_matching(g, trace=lambda record: None)
-        # traced, a second phase runs and finds nothing
+        assert in_memo(g, m)
+        # the certificate's phase, run on demand, finds nothing to augment
+        assert certify_maximality(g, m) is not None
         assert len(phases) == 2
         check_planted(g, planted, size)
         check_planted(*augmenting_gadgets(rng, count, cross=rng.randint(1, count)))
@@ -569,9 +571,11 @@ def test_blossom_bases_are_found_near_the_blossom():
     n = len(vertices(g))
     m = find_maximum_matching(g)
     assert len(m) == size and len(planted) == size
-    # traced, the solve runs its final phase, which closes the blossoms again
+    # a certify of the solve's own matching runs the final phase on demand,
+    # which closes the blossoms again; the memo is then empty, so a certify
+    # of m runs a phase of its own
     for run in (
-        lambda: find_maximum_matching(g, trace=lambda record: None),
+        lambda: certify_maximality(g, find_maximum_matching(g)),
         lambda: certify_maximality(g, m),
     ):
         assert 300 <= count_walk_steps(run) <= 20 * n
@@ -800,8 +804,9 @@ def test_fully_matched_graphs_certify_as_their_solve():
 
 def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
     # An augmenting path ends at two unmatched vertices with edges, so the
-    # untraced solve stops once at most one is left, and its certificate
-    # runs the skipped phase on demand. A traced solve runs every phase.
+    # solve stops once at most one is left, and its certificate runs the
+    # skipped phase on demand. A certify of an equal copy of the matching
+    # takes the full path and runs a phase of its own.
     rng = random.Random(79)
     cases = [frozenset(), graph([(0, 1)]), graph([(0, 1), (5, 9)])]
     cases += [graph((i, (i + 1) % n) for i in range(n)) for n in (3, 5, 9, 101)]
@@ -822,22 +827,19 @@ def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
     for g in cases:
         phases.clear()
         m = find_maximum_matching(g)
-        untraced = len(phases)
         assert in_memo(g, m)
-        phases.clear()
+        solved = len(phases)
         cert = certify_maximality(g, m)
-        on_demand = len(phases)
+        on_demand = len(phases) - solved
+        assert on_demand in (0, 1)
+        skipped += on_demand
         phases.clear()
-        traced_m = find_maximum_matching(g, trace=[].append)
-        traced = len(phases)
-        assert in_memo(g, traced_m)
-        traced_cert = certify_maximality(g, traced_m)
-        assert m == traced_m
-        assert untraced in (traced - 1, traced)
-        skipped += untraced < traced
-        assert on_demand == traced - untraced
-        # the memo is empty now, so this certify runs a phase of its own
-        assert cert == traced_cert == certify_maximality(g, m)
+        # the full path's phase does not augment, so the skipped phase would
+        # not have changed the matching
+        full = certify_maximality(g, frozenset(list(m)))
+        assert len(phases) == 1
+        # the memo is empty now, so this certify runs a phase of its own too
+        assert cert == full == certify_maximality(g, m)
     # many skips, but not everywhere
     assert len(cases) // 2 < skipped < len(cases)
     odd_cycle = graph((i, (i + 1) % 1001) for i in range(1001))
@@ -903,6 +905,30 @@ def test_certify_after_its_solve_reads_the_solves_cover(matching_checks, bench_f
         for cert in (own, full):
             report, problems = verify_certificate(g, m, list(cert.contractions), cert.cover)
             assert report.verdict and not problems
+
+
+def test_a_trace_does_not_change_the_solve(phases, bench_family_graphs):
+    # one stop rule: a traced solve runs the phases an untraced one runs,
+    # and its records are empty exactly when counting ended it before any
+    rng = random.Random(81)
+    cases = [
+        random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.2, 0.4]), first=0)
+        for _ in range(100)
+    ]
+    ran = traced_none = 0
+    for g in cases + bench_family_graphs:
+        records: list[str] = []
+        runs = []
+        for trace in (None, records.append):
+            phases.clear()
+            m = find_maximum_matching(g, trace=trace)
+            solved = len(phases)
+            runs.append((m, solved, certify_maximality(g, m).cover, len(phases)))
+        assert runs[0] == runs[1]
+        assert (records == []) == (solved == 0)
+        ran += solved > 0
+        traced_none += solved == 0
+    assert ran > 10 and traced_none > 10
 
 
 @pytest.mark.parametrize("call", ["hit", "other matching", "list graph", "not maximum", "raises"])

@@ -4,18 +4,17 @@ For each workload of ``bench/workloads.py`` at the given seed, the digest
 covers every instance in order: its traced ``find_maximum_matching``
 matching, sorted, the ``format_certificate`` text of its
 ``certify_maximality`` certificate, the same text for an equal copy of the
-matching, the trace records, the untraced matching, sorted, and the text
-``blossom solve --certificate`` writes for it, its certify in 1-based ids.
-Certify given the solve's own matching object reads that solve's cover;
-given a copy, it checks the matching and runs its own phase, so both paths
-are covered. A traced solve runs every phase; an untraced one may stop
-early and leave its certificate's phase to be run on demand, so both are
-covered too. Only the public ``find_maximum_matching``,
-``certify_maximality`` and ``format_certificate`` are called, so the
-script digests any checkout that has them. A change that claims to keep
-the output shows equal digests before and after it. ``--src`` names the
-package source to import, so that one copy of this script can digest two
-checkouts:
+matching, and the trace records. A trace does not change the solve, so the
+traced matching is the one an untraced solve and ``blossom solve`` return.
+Certify given the solve's own matching object reads that solve's cover,
+off the forest of its last phase or of the phase that counting skipped,
+run on demand; given a copy, it checks the matching and runs its own
+phase, so both paths are covered. Only the public
+``find_maximum_matching``, ``certify_maximality`` and ``format_certificate``
+are called, so the script digests any checkout that has them. A change
+that claims to keep the output shows equal digests before and after it.
+``--src`` names the package source to import, so that one copy of this
+script can digest two checkouts:
 
     python3 tools/output_digests.py --seed 1
     python3 tools/output_digests.py --seed 1 --src ../parent/src
@@ -44,18 +43,13 @@ def workload_digest(bl, workload: str, seed: int) -> str:
         cert = bl.certify_maximality(inst.graph, matching)
         # frozenset(matching) would be matching itself, not a copy
         copied = bl.certify_maximality(inst.graph, frozenset(list(matching)))
-        untraced = bl.find_maximum_matching(inst.graph)
-        # as run_solve writes it
-        solved = bl.certify_maximality(inst.graph, untraced)
-        if cert is None or copied is None or solved is None:
+        if cert is None or copied is None:
             raise SystemExit(f"{workload}/{inst.name}: the matching is not certified maximum")
         for part in (
             repr(sorted(matching)),
             bl.format_certificate(cert.contractions, cert.cover),
             bl.format_certificate(copied.contractions, copied.cover),
             *records,
-            repr(sorted(untraced)),
-            bl.format_certificate((), solved.cover, offset=1),
         ):
             h.update(part.encode() + b"\n")
         h.update(b"\0")
