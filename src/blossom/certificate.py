@@ -39,20 +39,33 @@ def covers(s: Iterable[int], e: Edge) -> bool:
 
 
 def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
-    """Whether every member is odd and every edge of the graph is covered."""
+    """Whether every member is odd and every edge of the graph is covered.
+
+    One pass over the members rejects the first even one, collects the
+    singletons and maps each vertex of a larger set to its set. The edge
+    loop then fits the cover's shape: singletons only (bipartite covers),
+    disjoint larger sets (every cover the engine emits), or overlapping ones
+    (parsed covers only)."""
     sets = [frozenset(s) for s in cover]
-    if any(len(s) % 2 == 0 for s in sets):
-        return False
-    # Singletons cover by one endpoint; a larger set must hold both. The
-    # engine's larger sets are disjoint, so each vertex has one owner, but
-    # parsed covers may hold a vertex in several larger sets.
-    singletons = {v for s in sets if len(s) == 1 for v in s}
+    # Singletons cover by one endpoint; a larger set must hold both. With
+    # disjoint larger sets most edges lie inside one, so owners go first.
+    singletons: set[int] = set()
     owner: dict[int, int] = {}
     members = 0
     for k, s in enumerate(sets):
-        if len(s) > 1:
+        n = len(s)
+        if n % 2 == 0:
+            return False
+        if n == 1:
+            singletons |= s
+        else:
             owner.update(dict.fromkeys(s, k))
-            members += len(s)
+            members += n
+    if not owner:
+        for a, b in g:
+            if a not in singletons and b not in singletons:
+                return False
+        return True
     if len(owner) < members:
         larger: dict[int, list[frozenset[int]]] = {}
         for s in sets:
@@ -63,8 +76,9 @@ def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
             a in singletons or b in singletons or any(b in s for s in larger.get(a, ()))
             for a, b in g
         )
+    get = owner.get
     for a, b in g:
-        if not (a in singletons or b in singletons or owner.get(a, -1) == owner.get(b, -2)):
+        if get(a, -1) != get(b, -2) and a not in singletons and b not in singletons:
             return False
     return True
 
@@ -162,7 +176,7 @@ def verify_certificate(
         matching_ok=matching_ok,
         subset_ok=subset_ok,
         cover_ok=is_odd_set_cover(sets, gset),
-        capacity=sum(capacity(s) for s in sets if len(s) % 2 == 1),
+        capacity=sum(len(s) // 2 or 1 for s in sets if len(s) % 2 == 1),
         matching_size=len(mset),
     )
     return report, problems

@@ -15,6 +15,7 @@ file (exit code 1); a failed write to standard output is one line too.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from collections.abc import Callable
@@ -157,6 +158,13 @@ def _print_matching(matching: frozenset[Edge], out: TextIO) -> None:
         print(f"m {a + 1} {b + 1}", file=out)
 
 
+def _silence(stream: TextIO) -> None:
+    """Point a stream whose write failed at the null device, so that what it
+    still buffers is dropped at exit instead of failing there again."""
+    with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _internal_error(exc: Exception, err: TextIO) -> int:
     """Report an unexpected exception on one line, without a traceback."""
     message = " ".join(str(exc).split())
@@ -183,6 +191,8 @@ def run_solve(
     With trace enabled, one ``grow``, ``found`` or ``skip`` record per edge
     a phase of the solve examines goes to standard error, with the input's
     vertex ids shifted to 0-based; a phase that certify runs is not traced.
+    A trace write that fails stops the trace, not the solve: the certificate
+    and the matching are still written, and the exit code is 1.
     Any unexpected exception ends in exit code 3 and one line of error.
     """
     out = out if out is not None else sys.stdout
@@ -191,9 +201,19 @@ def run_solve(
     if loaded is None:
         return EXIT_PARSE
     _, g = loaded
-    tracer = (lambda line: print(line, file=err)) if trace else None
+    trace_failed = False
+
+    def tracer(line: str) -> None:
+        nonlocal trace_failed
+        if not trace_failed:
+            try:
+                print(line, file=err)
+            except OSError:  # the trace stops; the solve and its output go on
+                trace_failed = True
+                _silence(err)
+
     try:
-        matching = find_maximum_matching(g, trace=tracer)
+        matching = find_maximum_matching(g, trace=tracer if trace else None)
         if certificate_path is not None:
             cover = certify_maximality(g, matching).cover
             certificate_text = format_certificate((), cover, offset=1)
@@ -207,7 +227,7 @@ def run_solve(
             print(f"error: cannot write {certificate_path}: {exc}", file=err)
             return EXIT_PARSE
     _print_matching(matching, out)
-    return EXIT_OK
+    return EXIT_PARSE if trace_failed else EXIT_OK
 
 
 def run_verify(
@@ -281,8 +301,18 @@ def run_oracle(
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of the help text raises
+    instead of being dropped, so ``--help`` reports it like any subcommand."""
+
+    def print_help(self, file: TextIO | None = None) -> None:
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blossom",
         description="Maximum-cardinality matching in general graphs.",
     )
@@ -318,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # usage errors exit 1 (exit 2 means a failed check)
-        return EXIT_PARSE if exc.code else EXIT_OK
-    try:
         if args.command == "solve":
             code = run_solve(args.graph, args.certificate, args.trace)
         elif args.command == "verify":
@@ -328,10 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             code = run_oracle(args.graph)
         sys.stdout.flush()
+    except SystemExit as exc:  # usage errors exit 1 (exit 2 means a failed check)
+        return EXIT_PARSE if exc.code else EXIT_OK
     except OSError as exc:  # the subcommands catch their own file errors
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-        # what is still buffered would fail again, with a report, at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence(sys.stdout)
         return EXIT_PARSE
     return code
 
