@@ -75,11 +75,21 @@ def test_is_odd_set_cover_matches_its_definition():
         assert is_odd_set_cover(cover, g) == expected
         verdicts.add(expected)
         if all(len(s) % 2 == 1 for s in cover):
-            # each vertex in one larger set at most, or some vertex in two
+            # the edge loop taken: no larger set, each vertex in one larger
+            # set at most, or some vertex in two
             larger = [v for s in cover if len(s) > 1 for v in s]
-            branches.add((len(set(larger)) == len(larger), expected))
+            if not larger:
+                branches.add(("singletons", expected))
+            elif len(set(larger)) == len(larger):
+                branches.add(("disjoint", expected))
+            else:
+                branches.add(("overlapping", expected))
     assert verdicts == {True, False}
-    assert branches == {(True, True), (True, False), (False, True), (False, False)}
+    assert branches == {
+        (shape, verdict)
+        for shape in ("singletons", "disjoint", "overlapping")
+        for verdict in (True, False)
+    }
 
 
 def test_is_odd_set_cover_hand_cases():
@@ -111,6 +121,13 @@ def test_disjoint_larger_sets_take_the_one_owner_path(monkeypatch):
     cert = certify_maximality(DEMO12, DEMO12_MATCHING)
     assert any(len(s) > 1 for s in cert.cover)
     assert is_odd_set_cover(cert.cover, DEMO12)
+    # the engine covers K_{3,5} with the singletons of its smaller side, and
+    # a cover of singletons only does not reach all() either
+    k35 = graph([(u, 3 + v) for u in range(3) for v in range(5)])
+    cert = certify_maximality(k35, find_maximum_matching(k35))
+    assert cert.cover == {frozenset({0}), frozenset({1}), frozenset({2})}
+    assert is_odd_set_cover(cert.cover, k35)
+    assert not is_odd_set_cover(cert.cover - {frozenset({0})}, k35)
     assert calls == []
     assert is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 4}], g)
     assert calls == [1]

@@ -321,6 +321,35 @@ def test_solve_trace_streams_search_records(tmp_path):
     assert out == _solve(tmp_path, DEMO7_TEXT)[1]
 
 
+class _ClosingStandardError(io.StringIO):
+    """A standard error whose reader goes away after the first line: every
+    later write fails as on a closed pipe, and is counted."""
+
+    refused = 0
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            self.refused += 1
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+def test_a_failed_trace_write_stops_the_trace_not_the_solve(tmp_path):
+    code, out, trace, cpath = _solve(tmp_path, DEMO12_TEXT, certificate=True, trace=True)
+    assert code == EXIT_OK and len(trace.splitlines()) > 2
+    certificate_text = cpath.read_text()
+    cpath.unlink()
+    traced, err = io.StringIO(), _ClosingStandardError()
+    code = run_solve(str(tmp_path / "graph.txt"), str(cpath), trace=True, out=traced, err=err)
+    # exit 1 with the matching and the certificate written, and the trace
+    # stopped at the first failed write
+    assert code == EXIT_PARSE
+    assert traced.getvalue() == out
+    assert cpath.read_text() == certificate_text
+    assert err.getvalue().count("\n") == 1 and err.getvalue().split()[0] in ("grow", "found", "skip")
+    assert err.refused == 1
+
+
 def test_solve_interleaved_odd_cycle(tmp_path):
     text = dimacs(1601, [(u + 1, v + 1) for u, v in INTERLEAVED_400])
     code, out, err, _ = _solve(tmp_path, text)
@@ -514,13 +543,14 @@ def test_solve_under_python_optimize(tmp_path):
         assert "maximality certified: yes" in done.stdout
 
 
-def _cli(args, stdout):
+def _cli(args, stdout, **env):
     """Run ``python -m blossom.cli`` on this checkout's package, with
-    standard output sent where the caller says."""
+    standard output sent where the caller says and ``env`` added to the
+    environment."""
     src = Path(blossom.__file__).resolve().parents[1]
     return subprocess.Popen(
         [sys.executable, "-m", "blossom.cli", *args],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), **env},
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -548,6 +578,34 @@ def test_a_full_standard_output_is_one_line(tmp_path):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == EXIT_PARSE
     assert err == "error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+# PYTHONUNBUFFERED set makes each write fail at once; unset (empty), the
+# failure comes when the buffer is flushed
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_to_a_full_standard_output_is_one_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli(argv, full, PYTHONUNBUFFERED=unbuffered)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_PARSE
+    assert err == "error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_standard_error_keeps_the_traced_matching(tmp_path, unbuffered):
+    # the reader closes its end at once; the trace of this graph is about
+    # 120 KB, more than a pipe holds, so its writes fail whatever the timing
+    sparse = sparse_graph(random.Random(62), 800, 3)
+    text = dimacs(800, {(a + 1, b + 1) for a, b in sparse})
+    expected = _solve(tmp_path, text)[1]
+    proc = _cli(["solve", str(tmp_path / "graph.txt"), "--trace"], subprocess.PIPE,
+                PYTHONUNBUFFERED=unbuffered)
+    proc.stderr.close()
+    out = proc.stdout.read()
+    assert proc.wait(timeout=120) == EXIT_PARSE
+    assert out == expected and out.startswith("s ")
 
 
 class _FullStandardOutput(io.StringIO):

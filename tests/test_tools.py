@@ -57,3 +57,26 @@ def test_output_digests_prints_one_digest_per_workload():
     assert all(re.fullmatch(r"\w+ 1 [0-9a-f]{64}", line) for line in lines), lines
     names = [line.split()[0] for line in lines]
     assert names == ["dense_blossoms", "long_paths", "certificates", "small_batch"]
+
+
+def test_bench_history_prints_each_records_drift(capsys):
+    # runs on the committed records; no value is pinned, only that a line
+    # chains each record's change to parent ratio as documented
+    bench_history = load("bench_history")
+    recs = bench_history.records(bench_history.ROOT)
+    assert min(recs) == 15
+    assert bench_history.main(["--since", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    seeds = [key for key in recs[16] if key.startswith("seed")]
+    assert len(lines) == sum(len(recs[16][s]) * len(recs[16][s]["dense_blossoms"]) for s in seeds)
+    line = next(line for line in lines if line.startswith("seed 1 dense_blossoms verify_s "))
+    summaries = [rec["seed1"]["dense_blossoms"]["verify_s"] for n, rec in recs.items() if n >= 16]
+    cells, ratio = [], 1.0
+    for n, m in enumerate(summaries, start=16):
+        ratio *= m["change_median"] / m["parent_median"]
+        cells.append(f"{n} {m['change_median']:.4g} {ratio - 1:+.1%}")
+    start = summaries[0]["parent_median"]
+    assert line == f"seed 1 dense_blossoms verify_s from {start:.4g}: " + ", ".join(cells)
+    # BENCH_14.json's older layout is not read
+    assert bench_history.main(["--since", "14"]) == 1
+    assert capsys.readouterr().err.startswith("error: no BENCH_14.json")
