@@ -1,7 +1,8 @@
 """The maximum-matching engine, which shrinks blossoms in place over arrays
 and certifies maximality from the forest of a phase that fails to augment,
-and the paper-shaped augmenting-path search with iterated cycle contraction
-that ``find_augmenting_path`` runs."""
+or from the count of unmatched vertices alone, and the paper-shaped
+augmenting-path search with iterated cycle contraction that
+``find_augmenting_path`` runs."""
 
 from __future__ import annotations
 
@@ -82,10 +83,10 @@ def find_maximum_matching(
     ``certify_maximality`` call, so that ``certify_maximality(g, matching)``
     reads the cover this solve already has: off the forest of the last
     phase, the one that failed to augment, or, when counting ended the solve
-    before that phase, of that phase run on demand, untraced. The skipped
-    phase would not have changed the matching. What is kept, the adjacency,
-    the partners and the last forest, is about 13 MiB for a sparse graph of
-    80,000 vertices and 120,000 edges.
+    before that phase, off the count itself (``_counted_certificate``), with
+    no phase run. What is kept, the adjacency, the partners and the last
+    forest, is about 13 MiB for a sparse graph of 80,000 vertices and
+    120,000 edges.
     """
     global _last_solve
     # released first: a solve that raises leaves no earlier solve's slot
@@ -115,10 +116,9 @@ def find_maximum_matching(
         raise InvariantViolation("the computed edge set is not a matching inside the graph")
 
     def certificate() -> MaximalityCertificate:
-        found = forest or _augment_phase(adj, mate, ids, None)
-        if found is None:
-            raise InvariantViolation("a phase augmented a matching that counting proved maximum")
-        return _certificate(mate, ids, *found)
+        if forest is None:
+            return _counted_certificate(adj, mate, ids)
+        return _certificate(mate, ids, *forest)
 
     if type(g) is frozenset:
         _last_solve = g, matching, certificate
@@ -348,8 +348,11 @@ def certify_maximality(
     g: Iterable[Edge], matching: Iterable[Edge]
 ) -> MaximalityCertificate | None:
     """An odd set cover of the input graph with capacity equal to the
-    matching's size, read off one engine phase that fails to augment it
-    (see ``_certificate``). No contractions are recorded.
+    matching's size. No contractions are recorded. When the matching leaves
+    at most one vertex with edges unmatched, the solve's own stop rule, the
+    cover is read off that count (``_counted_certificate``) and no phase
+    runs. Otherwise it is read off one engine phase that fails to augment
+    the matching (see ``_certificate``).
 
     None when the phase augments: the matching is not maximum. Raises
     ValueError when the edge set is not a matching inside the graph.
@@ -358,9 +361,9 @@ def certify_maximality(
     ``find_maximum_matching`` call took and returned, and no certify call
     came between, the cover is that solve's own: nothing is read or checked
     again. The test is identity, not equality. Any other
-    call, an equal copy of either among them, reads and checks both and
-    always runs one phase. Every call, hit or miss, releases what that
-    solve kept.
+    call, an equal copy of either among them, reads and checks both, and
+    then counts or runs one phase. Every call, hit or miss, releases what
+    that solve kept.
     """
     global _last_solve
     last, _last_solve = _last_solve, None
@@ -372,6 +375,8 @@ def certify_maximality(
     for a, b in mset:
         i, j = index[a], index[b]
         mate[i], mate[j] = j, i
+    if mate.count(-1) - adj.count([]) < 2:
+        return _counted_certificate(adj, mate, ids)
     forest = _augment_phase(adj, mate, ids, None)
     return None if forest is None else _certificate(mate, ids, *forest)
 
@@ -392,4 +397,23 @@ def _certificate(
     cover += leftover_cover(
         [(ids[v], ids[w]) for v, w in enumerate(mate) if v < w and not label[v]]
     )
+    return MaximalityCertificate((), frozenset(cover))
+
+
+def _counted_certificate(
+    adj: list[list[int]], mate: list[int], ids: list[int]
+) -> MaximalityCertificate:
+    """The odd set cover of a matching ``mate`` that leaves at most one
+    vertex with edges unmatched, read off that count with no phase: an
+    augmenting path ends at two such vertices, so the matching is maximum
+    (Berge). An odd number of vertices with edges leaves one of them
+    unmatched, and one odd set of them all holds both ends of every edge.
+    An even number are all matched, and ``leftover_cover``'s sets over all
+    the matched pairs cover the edges. No contractions are recorded."""
+    touched = [ids[v] for v, ns in enumerate(adj) if ns]
+    if len(touched) % 2:
+        cover = [frozenset(touched)]
+    else:
+        # In index order the pairs come sorted, as leftover_cover needs.
+        cover = leftover_cover([(ids[v], ids[w]) for v, w in enumerate(mate) if v < w])
     return MaximalityCertificate((), frozenset(cover))

@@ -469,26 +469,6 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch):
     assert "internal error" in err.getvalue()
 
 
-def test_a_phase_that_augments_a_counted_maximum_is_an_internal_error(tmp_path, monkeypatch):
-    import blossom.solver as solver
-
-    # greedy matches both ends, so the solve runs no phase and only the
-    # certificate runs one; a phase that augments contradicts the count
-    monkeypatch.setattr(solver, "_augment_phase", lambda *args: None)
-    (tmp_path / "g.txt").write_text("p edge 2 1\ne 1 2\n")
-    out = io.StringIO()
-    assert run_solve(str(tmp_path / "g.txt"), out=out, err=io.StringIO()) == EXIT_OK
-    assert out.getvalue() == "s 1\nm 1 2\n"
-    cpath = tmp_path / "c.txt"
-    out, err = io.StringIO(), io.StringIO()
-    assert run_solve(str(tmp_path / "g.txt"), str(cpath), out=out, err=err) == 3
-    assert out.getvalue() == "" and not cpath.exists()
-    assert err.getvalue() == (
-        "internal error: InvariantViolation: "
-        "a phase augmented a matching that counting proved maximum\n"
-    )
-
-
 @pytest.mark.parametrize(
     "target", ["find_maximum_matching", "certify_maximality", "verify_certificate"]
 )

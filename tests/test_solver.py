@@ -32,6 +32,7 @@ from blossom import (
     vertices,
 )
 from blossom.cli import parse_matching_file, run_solve
+from blossom.forest import leftover_cover
 from blossom.solver import (
     _blossom_base,
     _direct_adjacency,
@@ -50,6 +51,7 @@ from support import (
     TAILED_TRIANGLE_MATCHING,
     TRIANGLE,
     absorbed_blossom,
+    all_graphs,
     augmenting_gadgets,
     count_phases,
     dimacs,
@@ -521,9 +523,9 @@ def test_many_small_trees_augment_in_one_phase(phases):
         # the first phase augments every gadget and leaves nothing unmatched
         assert len(phases) == 1
         assert in_memo(g, m)
-        # the certificate's phase, run on demand, finds nothing to augment
+        # the count proves the matching maximum, so certify adds no phase
         assert certify_maximality(g, m) is not None
-        assert len(phases) == 2
+        assert len(phases) == 1
         check_planted(g, planted, size)
         check_planted(*augmenting_gadgets(rng, count, cross=rng.randint(1, count)))
 
@@ -571,14 +573,15 @@ def test_blossom_bases_are_found_near_the_blossom():
     n = len(vertices(g))
     m = find_maximum_matching(g)
     assert len(m) == size and len(planted) == size
-    # a certify of the solve's own matching runs the final phase on demand,
-    # which closes the blossoms again; the memo is then empty, so a certify
-    # of m runs a phase of its own
-    for run in (
-        lambda: certify_maximality(g, find_maximum_matching(g)),
-        lambda: certify_maximality(g, m),
-    ):
-        assert 300 <= count_walk_steps(run) <= 20 * n
+    # Both maximum matchings leave only the root unmatched, so the count
+    # certifies them and no phase runs. A separate edge left unmatched adds
+    # two more unmatched vertices: certify's phase then grows the root's tree,
+    # which closes the 300 blossoms, while the separate edge augments.
+    far = max(vertices(g)) + 1
+    wider = g | {(far, far + 1)}
+    for given in (planted, m):
+        assert 300 <= count_walk_steps(lambda: certify_maximality(wider, given)) <= 20 * n
+        assert certify_maximality(wider, given) is None
     assert certified(g, m)
     assert certified(g, planted)
 
@@ -804,9 +807,10 @@ def test_fully_matched_graphs_certify_as_their_solve():
 
 def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
     # An augmenting path ends at two unmatched vertices with edges, so the
-    # solve stops once at most one is left, and its certificate runs the
-    # skipped phase on demand. A certify of an equal copy of the matching
-    # takes the full path and runs a phase of its own.
+    # solve stops once at most one is left, and both certify paths read the
+    # cover of such a counted matching off the count, with no phase. A
+    # certify of an equal copy of any other matching takes the full path and
+    # runs one phase of its own.
     rng = random.Random(79)
     cases = [frozenset(), graph([(0, 1)]), graph([(0, 1), (5, 9)])]
     cases += [graph((i, (i + 1) % n) for i in range(n)) for n in (3, 5, 9, 101)]
@@ -823,30 +827,98 @@ def test_counting_ends_the_solve_with_the_outputs_of_a_full_one(phases):
             ids = sorted(vertices(g))
             gaps = dict(zip(ids, sorted(rng.sample(range(4 * len(g)), len(ids)))))
             cases += [relabel(g, gaps.__getitem__), relabel(g, lambda v: 3 * v - 4)]
-    skipped = 0
+    ended_by_count = 0
     for g in cases:
         phases.clear()
         m = find_maximum_matching(g)
         assert in_memo(g, m)
         solved = len(phases)
+        counted = len(vertices(g)) - 2 * len(m) < 2
+        # a solve that counting did not end kept the forest of its last phase
+        assert counted or solved >= 1
         cert = certify_maximality(g, m)
-        on_demand = len(phases) - solved
-        assert on_demand in (0, 1)
-        skipped += on_demand
+        assert len(phases) == solved
+        ended_by_count += counted
         phases.clear()
-        # the full path's phase does not augment, so the skipped phase would
-        # not have changed the matching
         full = certify_maximality(g, frozenset(list(m)))
-        assert len(phases) == 1
-        # the memo is empty now, so this certify runs a phase of its own too
+        assert len(phases) == (0 if counted else 1)
+        # the memo is empty now, so this certify takes the full path too
         assert cert == full == certify_maximality(g, m)
-    # many skips, but not everywhere
-    assert len(cases) // 2 < skipped < len(cases)
+    # many counted solves, but not everywhere
+    assert len(cases) // 2 < ended_by_count < len(cases)
     odd_cycle = graph((i, (i + 1) % 1001) for i in range(1001))
     for g in (odd_cycle, graph(itertools.combinations(range(5), 2))):
         phases.clear()
         find_maximum_matching(g)
         assert phases == []
+
+
+def counted_cover_cases() -> list[tuple[frozenset, frozenset | None]]:
+    """Graphs, each with a planted maximum matching or None: every 7th graph
+    on six vertices, the support families, and the edge cases of the cover
+    read off the count."""
+    rng = random.Random(82)
+    cases = [(g, None) for i, g in enumerate(all_graphs(6)) if i % 7 == 0]
+    cases += [(frozenset(), frozenset()), (graph([(0, 1)]), graph([(0, 1)]))]
+    cases += [(graph(itertools.combinations(range(2 * k + 1), 2)), None) for k in range(1, 7)]
+    cases += [(g, None) for g in (TRIANGLE, PATH4, DEMO7, DEMO12, TAILED_TRIANGLE)]
+    cases += [(INTERLEAVED_400, None), (sparse_graph(rng, 300, 3), None)]
+    for _ in range(20):
+        n = 2 * rng.randint(1, 20)
+        cases.append(planted_perfect(rng, n, min(rng.randint(0, 3), n - 1)))
+        cases.append(nested_blossoms(rng, rng.randint(1, 6), rng.randint(0, 9), False)[:2])
+        cases.append(absorbed_blossom(rng, rng.randint(1, 5), rng.randint(0, 5), False)[:2])
+        # a planted matching that is not maximum is left out
+        cases.append((augmenting_gadgets(rng, rng.randint(1, 12))[0], None))
+        cases.append(stem_with_triangles(rng, rng.randint(0, 9), rng.randint(1, 9))[:2])
+    for g, planted in cases[-100:]:
+        # isolated ids below 4|E|, and negative ids through the dict
+        new = sorted(rng.sample(range(4 * len(g)), len(vertices(g))))
+        place = dict(zip(sorted(vertices(g)), new)).__getitem__
+        for f in (place, lambda v: v - 50):
+            cases.append((relabel(g, f), None if planted is None else relabel(planted, f)))
+    return cases
+
+
+def test_a_counted_solve_is_certified_off_its_count(phases):
+    # A matching that leaves at most one vertex with edges unmatched is
+    # maximum, and both certify paths read its cover off that count: when
+    # all are matched, leftover_cover's singleton and odd set over the sorted
+    # pairs; when one is not, one odd set of every vertex with edges.
+    counted = gaps = dicts = 0
+    for g, planted in counted_cover_cases():
+        phases.clear()
+        m = find_maximum_matching(g)
+        if len(vertices(g)) - 2 * len(m) >= 2:
+            continue
+        counted += 1
+        _, ids, index, _ = _renumber(g)
+        gaps += index is ids and len(ids) > len(vertices(g))
+        dicts += type(index) is dict
+        solved = len(phases)
+        certs = [(m, certify_maximality(g, m)), (m, certify_maximality(g, frozenset(list(m))))]
+        if planted is not None:
+            certs.append((planted, certify_maximality(g, planted)))
+        assert certs[0] == certs[1]
+        assert len(phases) == solved
+        for matching, cert in certs:
+            if len(vertices(g)) % 2:
+                assert cert.cover == {frozenset(vertices(g))}
+            else:
+                assert cert.cover == frozenset(leftover_cover(sorted(matching)))
+            assert cert.contractions == ()
+            sets = list(cert.cover)
+            assert sum(map(len, sets)) == len(frozenset().union(*sets))
+            report, problems = verify_certificate(g, matching, [], cert.cover)
+            assert report.verdict and not problems
+    assert counted > 2000 and gaps > 50 and dicts > 50
+    phases.clear()
+    # a single edge: the singleton of its first end, capacity 1
+    cert = certify_maximality(graph([(0, 1)]), frozenset([(0, 1)]))
+    assert cert.cover == {frozenset([0])}
+    assert verify_certificate(graph([(0, 1)]), [(0, 1)], [], cert.cover)[0].capacity == 1
+    assert certify_maximality(frozenset(), frozenset()).cover == frozenset()
+    assert phases == []
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
 import importlib.util
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,59 @@ def test_bench_pairs_refuses_one_tree_on_both_sides(tmp_path, monkeypatch, capsy
     with pytest.raises(AssertionError, match="^bench_pairs ran a side$"):
         bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD", "--pr", "0"])
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_bench_pairs_cleans_up_when_terminated(tmp_path):
+    # each side's bench/run.py writes its pid and sleeps; a SIGTERM while it
+    # runs must kill it and remove both exports
+    repo, temp, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pid"
+    repo.mkdir()
+    temp.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (repo / "bench").mkdir()
+    (repo / "bench" / "run.py").write_text(
+        f"import os, pathlib, time\npathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))"
+        "\ntime.sleep(120)\n"
+    )
+    for text in ("a\n", "b\n"):
+        (repo / "a").write_text(text)
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "c"], check=True)
+    tool = str(TOOLS / "bench_pairs.py")
+    script = (
+        "import importlib.util, sys, tempfile\n"
+        f"spec = importlib.util.spec_from_file_location('bench_pairs', {tool!r})\n"
+        "bench_pairs = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench_pairs)\n"
+        f"bench_pairs.ROOT = bench_pairs.Path({str(repo)!r})\n"
+        f"tempfile.tempdir = {str(temp)!r}\n"
+        "sys.exit(bench_pairs.main(['--parent', 'HEAD~1', '--pr', '0']))\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", script], stderr=subprocess.PIPE, text=True)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() or not pid_file.read_text():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert len(list(temp.iterdir())) == 1
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(temp.iterdir()) == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        proc.kill()
+        proc.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert not (repo / "BENCH_0.json").exists()
 
 
 def test_output_digests_prints_one_digest_per_workload():

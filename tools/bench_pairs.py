@@ -13,7 +13,8 @@ which the change read lower, and the ``tools/output_digests.py`` digests of
 both sides, made with this checkout's copy of that script. Two revisions
 with the same tree are refused before anything runs; to time an
 uncommitted tree, pass the commit that ``git stash create`` prints as
-``--change``:
+``--change``. A SIGTERM ends the run as Ctrl-C does: the bench run in
+progress is killed and the exports are removed.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr 1
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 1 \\
@@ -27,6 +28,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -107,23 +109,16 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--change", default="HEAD", help="revision to time (default HEAD)")
-    parser.add_argument("--pr", type=int, required=True, help="number N of BENCH_<N>.json")
-    parser.add_argument("--pairs", type=pair_count, default=10,
-                        help=f"pairs at seed {DEFAULT_SEED}, at least 2 (default 10)")
-    parser.add_argument("--held-out-pairs", type=pair_count, default=5,
-                        help=f"pairs at seed {HELD_OUT_SEED}, at least 2 (default 5)")
-    parser.add_argument("--claim", default="none", help="the claim the record supports")
-    args = parser.parse_args(argv)
-    if git("rev-parse", f"{args.parent}^{{tree}}") == git("rev-parse", f"{args.change}^{{tree}}"):
-        print(f"error: --parent {args.parent} and --change {args.change} have the same tree",
-              file=sys.stderr)
-        return 1
-    out_path = ROOT / f"BENCH_{args.pr}.json"
-    plan = [(DEFAULT_SEED, args.pairs), (HELD_OUT_SEED, args.held_out_pairs)]
+def terminate(signum: int, frame) -> None:
+    """End the run as an exception does: ``TemporaryDirectory`` removes both
+    exports, and ``subprocess.run`` kills the bench run in progress."""
+    raise SystemExit(128 + signum)
+
+
+def run_pairs(args: argparse.Namespace, plan: list[tuple[int, int]]) -> tuple:
+    """Export both sides, run every pair and digest both sides' outputs:
+    the short hashes, the runs per side, seed and workload, the runs that
+    were not correct, and the digests per side."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {name: Path(tmp) / name for name in ("parent", "change")}
         revs = {name: export(getattr(args, name), path) for name, path in sides.items()}
@@ -145,6 +140,31 @@ def main(argv: list[str] | None = None) -> int:
         for name, path in sides.items():
             for seed, _ in plan:
                 sums[name] |= digests(path, seed)
+    return revs, runs, bad, sums
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision to compare against")
+    parser.add_argument("--change", default="HEAD", help="revision to time (default HEAD)")
+    parser.add_argument("--pr", type=int, required=True, help="number N of BENCH_<N>.json")
+    parser.add_argument("--pairs", type=pair_count, default=10,
+                        help=f"pairs at seed {DEFAULT_SEED}, at least 2 (default 10)")
+    parser.add_argument("--held-out-pairs", type=pair_count, default=5,
+                        help=f"pairs at seed {HELD_OUT_SEED}, at least 2 (default 5)")
+    parser.add_argument("--claim", default="none", help="the claim the record supports")
+    args = parser.parse_args(argv)
+    if git("rev-parse", f"{args.parent}^{{tree}}") == git("rev-parse", f"{args.change}^{{tree}}"):
+        print(f"error: --parent {args.parent} and --change {args.change} have the same tree",
+              file=sys.stderr)
+        return 1
+    out_path = ROOT / f"BENCH_{args.pr}.json"
+    plan = [(DEFAULT_SEED, args.pairs), (HELD_OUT_SEED, args.held_out_pairs)]
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        revs, runs, bad, sums = run_pairs(args, plan)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     total = 2 * sum(pairs for _, pairs in plan) * len(WORKLOADS)
     record = {
         "pr": args.pr,

@@ -7,8 +7,8 @@ matching, sorted, the ``format_certificate`` text of its
 matching, and the trace records. A trace does not change the solve, so the
 traced matching is the one an untraced solve and ``blossom solve`` return.
 Certify given the solve's own matching object reads that solve's cover,
-off the forest of its last phase or of the phase that counting skipped,
-run on demand; given a copy, it checks the matching and runs its own
+off the forest of its last phase or, when counting ended the solve, off
+the count; given a copy, it checks the matching and counts or runs its own
 phase, so both paths are covered. Only the public
 ``find_maximum_matching``, ``certify_maximality`` and ``format_certificate``
 are called, so the script digests any checkout that has them. A change
