@@ -11,7 +11,8 @@ the final state yields an odd-set-cover certificate).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Mapping, Sequence
+import itertools
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -158,8 +159,9 @@ def build_odd_set_cover(
 
     The base cover is one singleton per odd-labelled vertex. Matching edges
     the search never examined have only unlabelled endpoints, and
-    ``leftover_cover`` adds the sets for them. The capacities then sum to
-    exactly the matching size.
+    ``leftover_cover`` adds the sets for their endpoints, taken in the
+    order of the sorted edges. The capacities then sum to exactly the
+    matching size.
     """
     gset, mset = graph(g), graph(matching)
     labels, examined = state.labels, state.examined
@@ -171,21 +173,20 @@ def build_odd_set_cover(
                     "an unexamined edge still has an even endpoint; the search did not finish"
                 )
     cover = {frozenset((v,)) for v, lab in labels.items() if lab.parity is Parity.ODD}
-    cover.update(leftover_cover(sorted(mset - examined)))
+    cover.update(leftover_cover(itertools.chain.from_iterable(sorted(mset - examined))))
     return frozenset(cover)
 
 
-def leftover_cover(leftover: Sequence[Edge]) -> list[frozenset[int]]:
-    """Cover sets for the matching edges no tree reached, given sorted: a
-    singleton for one endpoint of the first edge and, when more remain, one
-    odd set of its other endpoint and every vertex of the rest."""
-    if not leftover:
-        return []
-    (r1, r2), rest = leftover[0], leftover[1:]
-    sets = [frozenset((r1,))]
-    if rest:
-        sets.append(frozenset([r2, *(v for e in rest for v in e)]))
-    return sets
+def leftover_cover(matched: Iterable[int]) -> list[frozenset[int]]:
+    """Cover sets for the k matched vertices no tree reached, each matched
+    to another of them: a singleton for the first and, when more than one
+    remain, one odd set of the rest. Their capacities, 1 and (k - 2) / 2,
+    sum to the k / 2 pairs, and every edge among the k has an end in them."""
+    it = iter(matched)
+    for first in it:
+        rest = frozenset(it)
+        return [frozenset((first,)), rest] if len(rest) > 1 else [frozenset((first,))]
+    return []
 
 
 def check_search_invariants(

@@ -14,6 +14,7 @@ from blossom import (
     run_search,
     verify_maximum,
 )
+from blossom.forest import leftover_cover
 from support import PATH4, TRIANGLE, random_graph, random_matching
 
 
@@ -89,6 +90,16 @@ def test_cover_for_perfectly_matched_path():
     report = verify_maximum(PATH4, m, cover)
     assert report.verdict
     assert report.capacity == 2
+
+
+def test_leftover_cover_takes_the_matched_vertices_in_order():
+    # the first vertex alone, and one odd set of the rest when more than one
+    assert leftover_cover([]) == []
+    assert leftover_cover(iter([4, 2])) == [frozenset({4})]
+    assert leftover_cover([1, 2, 3, 6, 7, 9]) == [frozenset({1}), frozenset({2, 3, 6, 7, 9})]
+    m = graph([(1, 2), (3, 6), (7, 9)])
+    sets = leftover_cover(v for e in sorted(m) for v in e)
+    assert verify_maximum(m | {(2, 3), (6, 9)}, m, sets).verdict
 
 
 def test_cover_rejects_unfinished_search_state():

@@ -32,7 +32,6 @@ from blossom import (
     vertices,
 )
 from blossom.cli import parse_matching_file, run_solve
-from blossom.forest import leftover_cover
 from blossom.solver import (
     _blossom_base,
     _direct_adjacency,
@@ -883,8 +882,9 @@ def counted_cover_cases() -> list[tuple[frozenset, frozenset | None]]:
 def test_a_counted_solve_is_certified_off_its_count(phases):
     # A matching that leaves at most one vertex with edges unmatched is
     # maximum, and both certify paths read its cover off that count: when
-    # all are matched, leftover_cover's singleton and odd set over the sorted
-    # pairs; when one is not, one odd set of every vertex with edges.
+    # all are matched, the smallest vertex with edges alone and one odd set
+    # of the rest (the singleton alone for one edge); when one is not, one
+    # odd set of every vertex with edges.
     counted = gaps = dicts = 0
     for g, planted in counted_cover_cases():
         phases.clear()
@@ -901,11 +901,15 @@ def test_a_counted_solve_is_certified_off_its_count(phases):
             certs.append((planted, certify_maximality(g, planted)))
         assert certs[0] == certs[1]
         assert len(phases) == solved
+        touched = sorted(vertices(g))
+        if len(touched) % 2:
+            want = {frozenset(touched)}
+        elif len(touched) > 2:
+            want = {frozenset(touched[:1]), frozenset(touched[1:])}
+        else:  # one edge, or none
+            want = {frozenset(touched[:1])} if touched else set()
         for matching, cert in certs:
-            if len(vertices(g)) % 2:
-                assert cert.cover == {frozenset(vertices(g))}
-            else:
-                assert cert.cover == frozenset(leftover_cover(sorted(matching)))
+            assert cert.cover == want
             assert cert.contractions == ()
             sets = list(cert.cover)
             assert sum(map(len, sets)) == len(frozenset().union(*sets))
@@ -919,6 +923,26 @@ def test_a_counted_solve_is_certified_off_its_count(phases):
     assert verify_certificate(graph([(0, 1)]), [(0, 1)], [], cert.cover)[0].capacity == 1
     assert certify_maximality(frozenset(), frozenset()).cover == frozenset()
     assert phases == []
+
+
+def test_a_failing_phase_covers_the_unreached_vertices_with_one_rule(phases):
+    # a star whose phase fails next to a fully matched K_6 on odd ids that no
+    # tree reaches: the star's centre alone, then the K_6's smallest vertex
+    # alone and one odd set of its other five
+    k6 = range(5, 16, 2)
+    base = graph([(0, 1), (0, 2), (0, 3), *itertools.combinations(k6, 2)])
+    for shift in (0, -50):  # ids as indices, then through the dict
+        g = relabel(base, lambda v: v + shift)
+        phases.clear()
+        m = find_maximum_matching(g)
+        assert len(m) == 4 and len(phases) == 1
+        want = {frozenset([shift]), frozenset([k6[0] + shift])}
+        want.add(frozenset(v + shift for v in k6[1:]))
+        for given in (m, frozenset(list(m))):
+            cert = certify_maximality(g, given)
+            assert cert.cover == want
+            report, problems = verify_certificate(g, given, [], cert.cover)
+            assert report.verdict and report.capacity == 4 and not problems
 
 
 @pytest.fixture(scope="module")

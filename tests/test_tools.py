@@ -115,6 +115,22 @@ def test_output_digests_prints_one_digest_per_workload():
     assert names == ["dense_blossoms", "long_paths", "certificates", "small_batch"]
 
 
+def test_certify_paths_prints_both_paths_per_workload_and_seed(capsys):
+    # host speed varies, so no time is pinned: one line per seed and
+    # workload, in order, with a time for each path
+    certify_paths = load("certify_paths")
+    assert certify_paths.main(["--seed", "1", "--seed", "97", "--passes", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    number = r"\d+\.\d{3}"
+    assert all(re.fullmatch(rf"\w+ \d+ memo_ms {number} full_ms {number}", line) for line in lines)
+    workloads = ["dense_blossoms", "long_paths", "certificates", "small_batch"]
+    assert [line.split()[:2] for line in lines] == [
+        [w, seed] for seed in ("1", "97") for w in workloads
+    ]
+    with pytest.raises(SystemExit):
+        certify_paths.main(["--passes", "0"])
+
+
 def test_bench_history_prints_each_records_drift(capsys):
     # runs on the committed records; no value is pinned, only that a line
     # chains each record's change to parent ratio as documented
