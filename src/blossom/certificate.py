@@ -41,46 +41,55 @@ def covers(s: Iterable[int], e: Edge) -> bool:
 def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
     """Whether every member is odd and every edge of the graph is covered.
 
-    One pass over the members rejects the first even one, collects the
-    singletons and maps each vertex of a larger set to its set. The edge
-    loop then fits the cover's shape: singletons only (bipartite covers),
-    disjoint larger sets (every cover the engine emits), or overlapping ones
-    (parsed covers only)."""
-    sets = [frozenset(s) for s in cover]
-    # Singletons cover by one endpoint; a larger set must hold both. With
-    # disjoint larger sets most edges lie inside one, so owners go first.
+    One pass over the members freezes each once, collects the singletons
+    and the larger sets, and sums the capacity. The edge loop then fits the
+    cover's shape: singletons only (bipartite covers); one larger set (most
+    covers the engine emits), two ``in`` tests against it before the
+    singletons; or several, where each vertex maps to the union of the
+    larger sets that hold it and one lookup and one ``in`` test decide
+    whether a set holds both ends."""
+    return _check_cover(cover, g)[0]
+
+
+def _check_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> tuple[bool, int]:
+    """``is_odd_set_cover`` and the summed capacity of the odd members."""
     singletons: set[int] = set()
-    owner: dict[int, int] = {}
-    members = 0
-    for k, s in enumerate(sets):
+    larger: list[frozenset[int]] = []
+    odd, total = True, 0
+    for s in map(frozenset, cover):
         n = len(s)
         if n % 2 == 0:
-            return False
-        if n == 1:
+            odd = False
+        elif n == 1:
             singletons |= s
+            total += 1
         else:
-            owner.update(dict.fromkeys(s, k))
-            members += n
-    if not owner:
+            larger.append(s)
+            total += n // 2
+    # Singletons cover by one endpoint and a larger set must hold both;
+    # most edges lie inside a larger set, so those tests go first.
+    if not odd:
+        return False, total
+    if not larger:
         for a, b in g:
             if a not in singletons and b not in singletons:
-                return False
-        return True
-    if len(owner) < members:
-        larger: dict[int, list[frozenset[int]]] = {}
-        for s in sets:
-            if len(s) > 1:
-                for v in s:
-                    larger.setdefault(v, []).append(s)
-        return all(
-            a in singletons or b in singletons or any(b in s for s in larger.get(a, ()))
-            for a, b in g
-        )
-    get = owner.get
-    for a, b in g:
-        if get(a, -1) != get(b, -2) and a not in singletons and b not in singletons:
-            return False
-    return True
+                return False, total
+    elif len(larger) == 1:
+        (big,) = larger
+        for a, b in g:
+            if (a not in big or b not in big) and a not in singletons and b not in singletons:
+                return False, total
+    else:
+        # With disjoint larger sets each vertex maps to its own set, uncopied.
+        reach: dict[int, frozenset[int]] = {}
+        for s in larger:
+            for v in s:
+                reach[v] = reach[v] | s if v in reach else s
+        get, empty = reach.get, frozenset()
+        for a, b in g:
+            if b not in get(a, empty) and a not in singletons and b not in singletons:
+                return False, total
+    return True, total
 
 
 def cover_capacity(cover: Iterable[Iterable[int]]) -> int:
@@ -171,12 +180,12 @@ def verify_certificate(
             break
         cmap = ContractionMap(frozenset(vs - set(step.cycle)), step.fresh)
         gset, mset = quotient_graph(cmap, gset), quotient_graph(cmap, mset)
-    sets = [frozenset(s) for s in cover]
+    cover_ok, total = _check_cover(cover, gset)
     report = VerificationReport(
         matching_ok=matching_ok,
         subset_ok=subset_ok,
-        cover_ok=is_odd_set_cover(sets, gset),
-        capacity=sum(len(s) // 2 or 1 for s in sets if len(s) % 2 == 1),
+        cover_ok=cover_ok,
+        capacity=total,
         matching_size=len(mset),
     )
     return report, problems

@@ -392,12 +392,13 @@ def _certificate(
     ``label`` array and ``members`` lists: a singleton per odd vertex, the
     vertex set of each outer blossom (the even vertices of one base, more
     than one), and ``leftover_cover``'s sets for the unlabelled vertices in
-    index order, each of which is matched to another unlabelled vertex. No
-    contractions are recorded."""
+    index order, each of which is matched to another unlabelled vertex; a
+    forest that labelled every vertex, as in a bipartite graph, has none to
+    scan for. No contractions are recorded."""
     cover = chain(
         map(frozenset, zip(compress(ids, map(eq, label, repeat(ODD))))),
         (frozenset(map(ids.__getitem__, vs)) for vs in members.values()),
-        leftover_cover(compress(ids, map(not_, label))),
+        leftover_cover(compress(ids, map(not_, label))) if 0 in label else (),
     )
     return MaximalityCertificate((), frozenset(cover))
 

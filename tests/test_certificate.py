@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import blossom.certificate
 from blossom import (
     ContractionStep,
     capacity,
@@ -57,37 +56,61 @@ def test_is_odd_set_cover():
     assert is_odd_set_cover([], frozenset())
 
 
+def random_cover(rng, shape):
+    """Odd and sometimes even members on 1..9: singletons anywhere, inside
+    larger sets too, and no, one or several larger sets, either cut apart
+    or drawn independently, so that several may overlap."""
+    cover = [frozenset({v}) for v in rng.sample(range(1, 10), rng.randint(0, 4))]
+    pool = rng.sample(range(1, 10), 9)
+    for _ in range({"singletons": 0, "one": 1}.get(shape, rng.randint(2, 3))):
+        size = rng.choice([3, 3, 5])
+        if shape == "disjoint":
+            if len(pool) < size:
+                break
+            cover.append(frozenset(pool[:size]))
+            del pool[:size]
+        else:
+            cover.append(frozenset(rng.sample(range(1, 10), size)))
+    if rng.random() < 0.1:
+        cover.append(frozenset(rng.sample(range(1, 10), rng.choice([0, 2, 4]))))
+    rng.shuffle(cover)
+    return cover
+
+
 def test_is_odd_set_cover_matches_its_definition():
-    # random covers, overlapping and sometimes even-sized, against the
-    # definition: every member odd, every edge covered by some member
+    # random covers of every shape the check tells apart, against the
+    # definition: every member odd, every edge covered by some member; the
+    # verifier's capacity is that of the odd members
     rng = random.Random(62)
-    verdicts = set()
     branches = set()
-    for _ in range(400):
-        g = random_graph(rng, rng.randint(2, 9), 0.4)
-        cover = [
-            frozenset(rng.sample(range(1, 10), rng.choice([1, 1, 1, 2, 3, 3, 5])))
-            for _ in range(rng.randint(0, 8))
-        ]
-        expected = all(len(s) % 2 == 1 for s in cover) and all(
-            any(covers(s, e) for s in cover) for e in g
-        )
-        assert is_odd_set_cover(cover, g) == expected
-        verdicts.add(expected)
-        if all(len(s) % 2 == 1 for s in cover):
-            # the edge loop taken: no larger set, each vertex in one larger
-            # set at most, or some vertex in two
-            larger = [v for s in cover if len(s) > 1 for v in s]
-            if not larger:
-                branches.add(("singletons", expected))
-            elif len(set(larger)) == len(larger):
-                branches.add(("disjoint", expected))
-            else:
-                branches.add(("overlapping", expected))
-    assert verdicts == {True, False}
-    assert branches == {
+    for i in range(1200):
+        g = random_graph(rng, rng.randint(0, 9), 0.4)
+        cover = random_cover(rng, ("singletons", "one", "disjoint", "overlapping")[i % 4])
+        odd = all(len(s) % 2 == 1 for s in cover)
+        expected = odd and all(any(covers(s, e) for s in cover) for e in g)
+        given = reversed_pairs(g) if i % 3 == 0 else g
+        assert is_odd_set_cover(cover, given) == expected
+        assert is_odd_set_cover((s for s in cover), iter(given)) == expected
+        report = verify_certificate(given, (), (), (s for s in cover))[0]
+        assert report.cover_ok == expected
+        assert report.capacity == sum(capacity(s) for s in cover if len(s) % 2)
+        # the edge loop taken: no larger set, one, or several that are
+        # disjoint or overlap
+        larger = [v for s in cover if len(s) > 1 for v in s]
+        if not odd:
+            shape = "even"
+        elif not larger:
+            shape = "singletons"
+        elif sum(len(s) > 1 for s in cover) == 1:
+            shape = "one"
+        elif len(set(larger)) == len(larger):
+            shape = "disjoint"
+        else:
+            shape = "overlapping"
+        branches.add((shape, expected))
+    assert branches == {("even", False)} | {
         (shape, verdict)
-        for shape in ("singletons", "disjoint", "overlapping")
+        for shape in ("singletons", "one", "disjoint", "overlapping")
         for verdict in (True, False)
     }
 
@@ -102,35 +125,64 @@ def test_is_odd_set_cover_hand_cases():
     assert not is_odd_set_cover([{1, 2, 3}, {4, 5, 6}], graph([(1, 2), (3, 4)]))
     assert not is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 7}], graph([(1, 6)]))
     assert is_odd_set_cover([{1, 2, 3}, {4, 5, 6}, {4}], graph([(1, 2), (3, 4)]))
+    # a singleton inside the one larger set still covers edges leaving it
+    assert is_odd_set_cover([{1, 2, 3}, {3}], [(3, 4), (4, 3), (1, 2)])
+    assert not is_odd_set_cover([{1, 2, 3}, {1}], [(3, 4)])
+    # the empty cover covers only the empty graph; an even member fails
+    # whatever the graph, and its capacity is left out
+    assert is_odd_set_cover([], frozenset()) and is_odd_set_cover([{1, 2, 3}], ())
+    assert not is_odd_set_cover([], [(1, 2)])
+    assert not is_odd_set_cover([{1, 2, 3}, {4, 5}], ())
+    assert not is_odd_set_cover([{1}, set()], ())
+    report = verify_maximum((), (), iter([{1, 2, 3}, {4, 5}, {6}]))
+    assert not report.cover_ok and report.capacity == 2
+    report = verify_maximum((), (), [])
+    assert report.verdict and report.capacity == 0
 
 
-def test_disjoint_larger_sets_take_the_one_owner_path(monkeypatch):
-    # the check for covers whose larger sets overlap is the only code in the
-    # module that calls all(); covers with disjoint larger sets, such as the
-    # engine's, must not reach it
-    calls = []
-
-    def spy(items):
-        calls.append(1)
-        return all(items)
-
-    monkeypatch.setattr(blossom.certificate, "all", spy, raising=False)
+def test_overlapping_larger_sets_are_decided_through_the_union_map():
+    # each vertex maps to the union of the larger sets that hold it, so an
+    # edge is covered by a larger set when that union of one end holds the
+    # other; two ends that only share a set's neighbour are not covered
     g = graph([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     assert is_odd_set_cover([{1, 2, 3}, {4, 5, 6}, {3}], g)
     assert not is_odd_set_cover([{1, 2, 3}, {4, 5, 6}], g)
+    assert is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 4}], g)
+    assert is_odd_set_cover([{5, 6, 4}, {3, 4, 5}, {1, 2, 3}], g)
+    for edge in ((1, 4), (4, 1), (2, 5), (6, 3)):
+        assert not is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 4}], [edge])
+        assert is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 4}, {edge[1]}], [edge])
+    assert is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {1, 4, 6}], [(1, 4), (4, 1), (3, 5)])
+    report = verify_maximum(g, graph([(1, 2), (3, 4), (5, 6)]), [{1, 2, 3}, {3, 4, 5}, {4, 5, 6}])
+    assert report.cover_ok and report.capacity == 3 and report.verdict
+    # the engine's covers: disjoint larger sets on the 12-vertex fixture,
+    # and the singletons of the smaller side of K_{3,5}
     cert = certify_maximality(DEMO12, DEMO12_MATCHING)
     assert any(len(s) > 1 for s in cert.cover)
     assert is_odd_set_cover(cert.cover, DEMO12)
-    # the engine covers K_{3,5} with the singletons of its smaller side, and
-    # a cover of singletons only does not reach all() either
     k35 = graph([(u, 3 + v) for u in range(3) for v in range(5)])
     cert = certify_maximality(k35, find_maximum_matching(k35))
     assert cert.cover == {frozenset({0}), frozenset({1}), frozenset({2})}
     assert is_odd_set_cover(cert.cover, k35)
     assert not is_odd_set_cover(cert.cover - {frozenset({0})}, k35)
-    assert calls == []
-    assert is_odd_set_cover([{1, 2, 3}, {3, 4, 5}, {5, 6, 4}], g)
-    assert calls == [1]
+
+
+def test_malformed_covers_and_edges_raise_as_before():
+    # every member is read before any edge: a member that is not iterable
+    # raises TypeError, after an even member too; an edge that is not a
+    # pair raises ValueError once the members are all odd, and is never
+    # read when one is even
+    for cover in ([{1}, 7], [7, {1, 2, 3}], [{1, 2}, 7], [{1, 2, 3}, {3, 4, 5}, 7]):
+        with pytest.raises(TypeError):
+            is_odd_set_cover(cover, TRIANGLE)
+        with pytest.raises(TypeError):
+            verify_certificate(TRIANGLE, (), (), cover)
+    for cover in ([{1}, {2}], [{1, 2, 3}], [{1, 2, 3}, {3, 4, 5}], [{1, 2, 3}, {4, 5, 6}]):
+        with pytest.raises(ValueError):
+            is_odd_set_cover(cover, [(1, 2, 3)])
+        with pytest.raises(ValueError):
+            verify_certificate([(1, 2, 3)], (), (), cover)
+    assert not is_odd_set_cover([{1, 2}], [(1, 2, 3)])
 
 
 def test_verify_maximum_examples():
