@@ -41,13 +41,9 @@ def covers(s: Iterable[int], e: Edge) -> bool:
 def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
     """Whether every member is odd and every edge of the graph is covered.
 
-    One pass over the members freezes each once, collects the singletons
-    and the larger sets, and sums the capacity. The edge loop then fits the
-    cover's shape: singletons only (bipartite covers); one larger set (most
-    covers the engine emits), two ``in`` tests against it before the
-    singletons; or several, where each vertex maps to the union of the
-    larger sets that hold it and one lookup and one ``in`` test decide
-    whether a set holds both ends."""
+    One pass freezes the members; the edge loop then fits the cover's shape:
+    singletons only, one larger set, or several, reached through a map from
+    each vertex to its larger set, or to a list of them if they overlap."""
     return _check_cover(cover, g)[0]
 
 
@@ -66,8 +62,7 @@ def _check_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> tuple[boo
         else:
             larger.append(s)
             total += n // 2
-    # Singletons cover by one endpoint and a larger set must hold both;
-    # most edges lie inside a larger set, so those tests go first.
+    # A larger set must hold both ends and most edges lie in one: test it first.
     if not odd:
         return False, total
     if not larger:
@@ -79,15 +74,21 @@ def _check_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> tuple[boo
         for a, b in g:
             if (a not in big or b not in big) and a not in singletons and b not in singletons:
                 return False, total
-    else:
-        # With disjoint larger sets each vertex maps to its own set, uncopied.
-        reach: dict[int, frozenset[int]] = {}
-        for s in larger:
-            for v in s:
-                reach[v] = reach[v] | s if v in reach else s
+    elif len(reach := {v: s for s in larger for v in s}) == sum(map(len, larger)):
         get, empty = reach.get, frozenset()
         for a, b in g:
             if b not in get(a, empty) and a not in singletons and b not in singletons:
+                return False, total
+    else:
+        # Overlapping sets (parsed covers only): a list per vertex keeps
+        # memory linear in the cover, where copied unions would not.
+        holders: dict[int, list[frozenset[int]]] = {}
+        for s in larger:
+            for v in s:
+                holders.setdefault(v, []).append(s)
+        get = holders.get
+        for a, b in g:
+            if not (a in singletons or b in singletons or any(b in s for s in get(a, ()))):
                 return False, total
     return True, total
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -140,10 +141,10 @@ def test_is_odd_set_cover_hand_cases():
     assert report.verdict and report.capacity == 0
 
 
-def test_overlapping_larger_sets_are_decided_through_the_union_map():
-    # each vertex maps to the union of the larger sets that hold it, so an
-    # edge is covered by a larger set when that union of one end holds the
-    # other; two ends that only share a set's neighbour are not covered
+def test_overlapping_larger_sets_are_decided_through_the_holder_map():
+    # each vertex maps to the larger sets that hold it, so an edge is
+    # covered by a larger set when one set of one end holds the other; two
+    # ends that only share a set's neighbour are not covered
     g = graph([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     assert is_odd_set_cover([{1, 2, 3}, {4, 5, 6}, {3}], g)
     assert not is_odd_set_cover([{1, 2, 3}, {4, 5, 6}], g)
@@ -165,6 +166,22 @@ def test_overlapping_larger_sets_are_decided_through_the_union_map():
     assert cert.cover == {frozenset({0}), frozenset({1}), frozenset({2})}
     assert is_odd_set_cover(cert.cover, k35)
     assert not is_odd_set_cover(cert.cover - {frozenset({0})}, k35)
+
+
+def test_overlapping_larger_sets_take_memory_linear_in_the_cover():
+    # two sets of 1,001 vertices that share all but one: a union copied per
+    # shared vertex would allocate about 1,000 sets of 1,002 vertices
+    # (tens of MB); a list of holders per vertex stays well under 1 MB
+    n = 1001
+    cover = [frozenset(range(n)), frozenset(range(1, n + 1))]
+    tracemalloc.start()
+    try:
+        assert not is_odd_set_cover(cover, [(0, n)])
+        assert verify_maximum([(0, 1)], [(0, 1)], cover).cover_ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_malformed_covers_and_edges_raise_as_before():
