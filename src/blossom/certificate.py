@@ -43,7 +43,8 @@ def is_odd_set_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> bool:
 
     One pass freezes the members; the edge loop then fits the cover's shape:
     singletons only, one larger set, or several, reached through a map from
-    each vertex to its larger set, or to a list of them if they overlap."""
+    each vertex to its larger set, or to the indices of the sets that hold
+    it if they overlap."""
     return _check_cover(cover, g)[0]
 
 
@@ -80,16 +81,18 @@ def _check_cover(cover: Iterable[Iterable[int]], g: Iterable[Edge]) -> tuple[boo
             if b not in get(a, empty) and a not in singletons and b not in singletons:
                 return False, total
     else:
-        # Overlapping sets (parsed covers only): a list per vertex keeps
-        # memory linear in the cover, where copied unions would not.
-        holders: dict[int, list[frozenset[int]]] = {}
-        for s in larger:
+        # Overlapping sets (parsed covers only): each vertex maps to the
+        # indices of the sets that hold it, so memory stays linear in the
+        # cover, and isdisjoint iterates the smaller of the two ends' sides.
+        holders: dict[int, set[int]] = {}
+        for i, s in enumerate(larger):
             for v in s:
-                holders.setdefault(v, []).append(s)
-        get = holders.get
+                holders.setdefault(v, set()).add(i)
+        get, empty = holders.get, frozenset()
         for a, b in g:
-            if not (a in singletons or b in singletons or any(b in s for s in get(a, ()))):
-                return False, total
+            if a not in singletons and b not in singletons:
+                if get(a, empty).isdisjoint(get(b, empty)):
+                    return False, total
     return True, total
 
 

@@ -182,12 +182,12 @@ def run_solve(
     """Solve a graph file and print the maximum matching in ``s``/``m`` form.
 
     With a certificate path, ``certify_maximality`` of the solve's own
-    matching is written there, which reads the cover the solve holds: a flat
-    odd set cover of the input graph in ``s`` lines, with no contraction
-    history. It is written before the matching is printed, so a failed write
-    leaves standard output empty. Without one, the solve stays in the
-    library's slot (see ``find_maximum_matching``) until the next solve or
-    certify call, or the end of the process.
+    matching is written there, which reads the cover that the solve's stop
+    rule picked: a flat odd set cover of the input graph in ``s`` lines, with
+    no contraction history. It is written before the matching is printed,
+    so a failed write leaves standard output empty. Without one, the solve
+    stays in the library's slot (see ``find_maximum_matching``) until the
+    next solve or certify call, or the end of the process.
     With trace enabled, one ``grow``, ``found`` or ``skip`` record per edge
     a phase of the solve examines goes to standard error, with the input's
     vertex ids shifted to 0-based; a phase that certify runs is not traced.

@@ -1,7 +1,6 @@
 """The maximum-matching engine, which shrinks blossoms in place over arrays
-and certifies maximality from the forest of a phase that fails to augment,
-or from the count of unmatched vertices alone, and the paper-shaped
-augmenting-path search with iterated cycle contraction that
+and certifies maximality where its one stop rule stops, and the
+paper-shaped augmenting-path search with iterated cycle contraction that
 ``find_augmenting_path`` runs."""
 
 from __future__ import annotations
@@ -73,22 +72,18 @@ def find_maximum_matching(
     their root paths, and both trees are dead for the rest of the phase, so
     one phase augments along many vertex-disjoint paths. A blossom closed on
     the way is contracted in place, by relabelling the base of its vertices.
-    The solve ends after the first phase that does not augment, or as soon
-    as at most one vertex with edges is unmatched: an augmenting path ends
-    at two of them, so the matching is maximum (Berge). ``trace`` receives
-    one record per edge a phase examines, in the layouts ``run_search``
-    uses and with the input's vertex ids, and changes nothing the solve does.
+    The phases run under the solve's stop rule (``_maximize``). ``trace``
+    receives one record per edge a phase examines, in the layouts
+    ``run_search`` uses and with the input's vertex ids, and changes nothing
+    the solve does.
 
     When ``g`` is a ``frozenset``, the graph, the matching and the solve's
     certificate function are kept until the next solve or
     ``certify_maximality`` call, so that ``certify_maximality(g, matching)``
-    reads the cover this solve already has: off the forest of the last
-    phase, the one that failed to augment, or, when counting ended the solve
-    before that phase, off the count itself (``_counted_certificate``), with
-    no phase run. Either cover is built from runs of vertices in index
-    order, not from matched pairs. What is kept, the adjacency and the last
-    forest, is about 12.5 MiB for a sparse graph of 80,000 vertices and
-    120,000 edges.
+    reads the cover that the stop rule picked for this solve, built from
+    runs of vertices in index order. What is kept, the id list and the last
+    forest, is about 2.4 MiB for a sparse graph of 80,000 vertices and
+    120,000 edges; a solve that counting ended keeps its adjacency instead.
     """
     global _last_solve
     # released first: a solve that raises leaves no earlier solve's slot
@@ -102,29 +97,39 @@ def find_maximum_matching(
                 if mate[w] < 0:
                     mate[v], mate[w] = w, v
                     break
-    # Isolated ids, the unused ones below 4|E| among them, are never matched.
-    isolated = adj.count([])
-    forest = None
-    for _ in range(n // 2 + 1):
-        if mate.count(-1) - isolated < 2:
-            break
-        forest = _augment_phase(adj, mate, ids, trace)
-        if forest is not None:
-            break
-    else:
+    certificate = _maximize(adj, mate, ids, trace, n // 2 + 1)
+    if certificate is None:
         raise InvariantViolation("augmentation loop failed to terminate")
     matching = frozenset((ids[v], ids[w]) for v, w in enumerate(mate) if v < w)
     if any(w >= 0 and mate[w] != v for v, w in enumerate(mate)) or not matching <= gset:
         raise InvariantViolation("the computed edge set is not a matching inside the graph")
-
-    def certificate() -> MaximalityCertificate:
-        if forest is None:
-            return _counted_certificate(adj, ids, n - isolated)
-        return _certificate(ids, *forest)
-
     if type(g) is frozenset:
         _last_solve = g, matching, certificate
     return matching
+
+
+def _maximize(
+    adj: list[list[int]], mate: list[int], ids: list[int], trace: Trace | None, phases: int
+) -> Callable[[], MaximalityCertificate] | None:
+    """Run at most ``phases`` engine phases on ``mate``, in place, under the
+    solve's stop rule, and return the function that reads the odd set cover
+    of the maximum matching it stops at; None when every phase augmented.
+
+    The stop rule: stop as soon as at most one vertex with edges is
+    unmatched, since an augmenting path ends at two of them (Berge), or
+    after the first phase that fails to augment. Isolated indices, the
+    unused ids below 4|E| among them, are never matched. The cover is read
+    off the count in the first case (``_counted_certificate``), with no
+    phase run, and off the failing phase's forest in the second
+    (``_certificate``)."""
+    isolated = adj.count([])
+    for _ in range(phases):
+        if mate.count(-1) - isolated < 2:
+            return lambda: _counted_certificate(adj, ids, len(adj) - isolated)
+        forest = _augment_phase(adj, mate, ids, trace)
+        if forest is not None:
+            return lambda: _certificate(ids, *forest)
+    return None
 
 
 def _renumber(
@@ -350,22 +355,18 @@ def certify_maximality(
     g: Iterable[Edge], matching: Iterable[Edge]
 ) -> MaximalityCertificate | None:
     """An odd set cover of the input graph with capacity equal to the
-    matching's size. No contractions are recorded. When the matching leaves
-    at most one vertex with edges unmatched, the solve's own stop rule, the
-    cover is read off that count (``_counted_certificate``) and no phase
-    runs. Otherwise it is read off one engine phase that fails to augment
-    the matching (see ``_certificate``).
+    matching's size, read where the solve's stop rule (``_maximize``) stops
+    within one phase. No contractions are recorded.
 
-    None when the phase augments: the matching is not maximum. Raises
+    None when that phase augments: the matching is not maximum. Raises
     ValueError when the edge set is not a matching inside the graph.
 
     When ``g`` and ``matching`` are the very objects that the last
     ``find_maximum_matching`` call took and returned, and no certify call
     came between, the cover is that solve's own: nothing is read or checked
-    again. The test is identity, not equality. Any other
-    call, an equal copy of either among them, reads and checks both, and
-    then counts or runs one phase. Every call, hit or miss, releases what
-    that solve kept.
+    again. The test is identity, not equality. Any other call, an equal copy
+    of either among them, reads and checks both, and then applies the stop
+    rule. Every call, hit or miss, releases what that solve kept.
     """
     global _last_solve
     last, _last_solve = _last_solve, None
@@ -377,11 +378,7 @@ def certify_maximality(
     for a, b in mset:
         i, j = index[a], index[b]
         mate[i], mate[j] = j, i
-    isolated = adj.count([])
-    if mate.count(-1) - isolated < 2:
-        return _counted_certificate(adj, ids, len(ids) - isolated)
-    forest = _augment_phase(adj, mate, ids, None)
-    return None if forest is None else _certificate(ids, *forest)
+    return None if (cert := _maximize(adj, mate, ids, None, 1)) is None else cert()
 
 
 def _certificate(
@@ -408,11 +405,10 @@ def _counted_certificate(
 ) -> MaximalityCertificate:
     """The odd set cover of a matching that leaves at most one of the
     ``touched`` vertices with edges unmatched, read off that count with no
-    phase: an augmenting path ends at two such vertices, so the matching is
-    maximum (Berge). An odd count leaves one unmatched, and one odd set of
-    them all holds both ends of every edge. An even count are all matched,
-    and ``leftover_cover`` takes them in index order: the first alone, and
-    one odd set of the rest. No contractions are recorded."""
+    phase (see ``_maximize``). An odd count leaves one unmatched, and one
+    odd set of them all holds both ends of every edge. An even count are all
+    matched, and ``leftover_cover`` takes them in index order: the first
+    alone, and one odd set of the rest. No contractions are recorded."""
     vs = compress(ids, adj)
     cover = [frozenset(vs)] if touched % 2 else leftover_cover(vs)
     return MaximalityCertificate((), frozenset(cover))

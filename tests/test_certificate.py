@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -182,6 +183,25 @@ def test_overlapping_larger_sets_take_memory_linear_in_the_cover():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_overlapping_larger_sets_take_time_near_linear_in_the_cover():
+    # k sets {0, x, y} and one odd set of vertex 0 and its m neighbours,
+    # with the m edges (0, b): vertex 0 lies in k + 1 sets, so a scan of its
+    # sets per edge is quadratic (a ratio of about 16 from k=500, m=5,000 to
+    # four times both), where testing the smaller side stays near linear
+    def best_of_3(k, m):
+        cover = [frozenset({0, 2 * i + 1, 2 * i + 2}) for i in range(k)]
+        cover.append(frozenset(range(m + 1)))
+        g = [(0, b) for b in range(1, m + 1)]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert is_odd_set_cover(cover, g)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(2_000, 20_000) / best_of_3(500, 5_000) < 8
 
 
 def test_malformed_covers_and_edges_raise_as_before():

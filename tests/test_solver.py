@@ -279,7 +279,7 @@ def test_trace_records_use_the_search_layouts_and_input_ids(phases):
     assert records == ["grow 2 0 label 0 odd 2 label 1 even 2 parent 0 2 parent 1 0", "found 3 1"]
 
 
-def test_certify_agrees_with_bruteforce():
+def test_certify_agrees_with_bruteforce(phases):
     # None exactly when the matching is below the maximum size; otherwise
     # the cover proves the matching maximum on the input graph itself
     rng = random.Random(58)
@@ -293,6 +293,12 @@ def test_certify_agrees_with_bruteforce():
             assert cert.contractions == ()
             assert verify_maximum(g, m, cert.cover).verdict
         outcomes.add(cert is None)
+        # the solve's stop rule with a budget of one phase: a certify that
+        # reads the matching, an equal copy of a solve's or a random one,
+        # runs that phase unless at most one vertex with edges is unmatched
+        phases.clear()
+        assert certify_maximality(g, frozenset(list(m))) == cert
+        assert len(phases) == (len(vertices(g)) - 2 * len(m) > 1)
     assert outcomes == {True, False}
 
 
@@ -989,6 +995,10 @@ def test_certify_after_its_solve_reads_the_solves_cover(matching_checks, bench_f
     ]
     # a frozenset with a pair given (larger, smaller) is canonicalised first
     cases += [sparse_graph(rng, 200, 3), FULLY_MATCHED, frozenset(), frozenset([(3, 1), (1, 2)])]
+    # a maximum star K_{1,3} on ids 0, 2, 5 and 7: the unused ids 1, 3, 4
+    # and 6 are isolated, so two unmatched vertices with edges remain and
+    # both paths read the cover off a phase, not off the count
+    cases.append(frozenset([(0, 2), (0, 5), (0, 7)]))
     for i, g in enumerate(cases + bench_family_graphs):
         m = find_maximum_matching(g, trace=[].append if i % 3 == 0 else None)
         assert in_memo(g, m)
