@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
-from .contraction import ContractionMap, is_blossom, quotient_graph
-from .graph import Edge, graph, vertices
+from .contraction import is_odd_cycle
+from .graph import Edge, graph, is_simple, vertices
 from .matching import is_matching
 
 
@@ -171,28 +172,114 @@ def verify_certificate(
                 problems.append("contraction 1: the graph or the matching has a self-loop")
             contractions = ()
         matching_ok, subset_ok = is_matching(mset), mset <= gset
-    for i, step in enumerate(contractions, start=1):
-        vs = vertices(gset)
-        if step.fresh in vs:
-            problems.append(f"contraction {i}: its target already occurs in the graph")
-            break
-        if not is_blossom(gset, mset, step.stem, step.cycle):
-            problems.append(
-                f"contraction {i}: its stem and cycle are not a blossom "
-                f"of the graph it was contracted in"
-            )
-            break
-        cmap = ContractionMap(frozenset(vs - set(step.cycle)), step.fresh)
-        gset, mset = quotient_graph(cmap, gset), quotient_graph(cmap, mset)
+    size = len(mset)
+    if contractions:
+        gset, size = _replay(gset, mset, contractions, problems)
     cover_ok, total = _check_cover(cover, gset)
     report = VerificationReport(
         matching_ok=matching_ok,
         subset_ok=subset_ok,
         cover_ok=cover_ok,
         capacity=total,
-        matching_size=len(mset),
+        matching_size=size,
     )
     return report, problems
+
+
+def _replay(
+    gset: frozenset[Edge],
+    mset: frozenset[Edge],
+    contractions: Sequence[ContractionStep],
+    problems: list[str],
+) -> tuple[frozenset[Edge], int]:
+    """The graph and the size of the matching that the history reaches from
+    the canonical ``gset`` and ``mset``; the problem of a step that ends it
+    early is appended to ``problems``.
+
+    Each step is checked as ``is_blossom`` checks it and contracted as
+    ``quotient_graph`` contracts under ``ContractionMap(vertices(g) - cycle,
+    fresh)``, but on state that each step updates locally: a node per
+    vertex with a set of neighbour nodes, where a cycle's nodes merge into
+    the one with the largest set, which takes the fresh id. The matching is
+    a partner map while it is one. The map sends every vertex outside the
+    graph to the fresh vertex, so matched vertices that no edge holds go
+    there too; a contraction that leaves it matched twice fails every
+    later step.
+    """
+    ids = list(vertices(gset))
+    node = {v: i for i, v in enumerate(ids)}
+    adj: list[set[int]] = [set() for _ in ids]
+    for a, b in gset:
+        i, j = node[a], node[b]
+        adj[i].add(j)
+        adj[j].add(i)
+    size, matched = len(mset), is_matching(mset)
+    mate: dict[int, int] = {}
+    if matched:
+        for a, b in mset:
+            mate[a], mate[b] = b, a
+    loose = [v for v in mate if v not in node]
+    for i, step in enumerate(contractions, start=1):
+        fresh, cycle = step.fresh, step.cycle
+        if (n := node.get(fresh)) is not None and adj[n]:
+            problems.append(f"contraction {i}: its target already occurs in the graph")
+            break
+        if not (matched and _is_blossom_of(node, adj, mate, step.stem, cycle)):
+            problems.append(
+                f"contraction {i}: its stem and cycle are not a blossom "
+                f"of the graph it was contracted in"
+            )
+            break
+        on_cycle = set(cycle)
+        # The matching edges at the cycle or outside the graph become
+        # (kept, fresh), or a loop that is dropped.
+        hit = {v for v in chain(on_cycle, loose) if v in mate}
+        hit.update([mate[v] for v in hit])
+        kept = [v for v in hit if v not in on_cycle and v in node and adj[node[v]]]
+        for v in hit:
+            del mate[v]
+        size += len(kept) - len(hit) // 2
+        matched = len(kept) < 2
+        if kept:
+            mate[kept[0]], mate[fresh] = fresh, kept[0]
+        group = {node.pop(v) for v in on_cycle}
+        big = max(group, key=lambda n: len(adj[n]))
+        into = adj[big]
+        into -= group
+        for n in group - {big}:
+            for u in adj[n]:
+                if u not in group:
+                    adj[u].discard(n)
+                    adj[u].add(big)
+                    into.add(u)
+            adj[n] = set()
+        node[fresh], ids[big] = big, fresh
+        loose = [] if into or fresh not in mate else [fresh]
+    out = frozenset(
+        (ids[n], ids[m]) for n, ns in enumerate(adj) for m in ns if ids[n] < ids[m]
+    )
+    return out, size
+
+
+def _is_blossom_of(
+    node: dict[int, int],
+    adj: list[set[int]],
+    mate: dict[int, int],
+    stem: Sequence[int],
+    cycle: Sequence[int],
+) -> bool:
+    """``is_blossom`` on the replay's graph and matching, which is one."""
+    if not is_odd_cycle(cycle) or not is_simple(list(stem) + list(cycle[:-1])):
+        return False
+    whole = list(stem) + list(cycle)
+    if whole[0] in mate:
+        return False
+    for i, (a, b) in enumerate(zip(whole, whole[1:])):
+        if (mate.get(a) == b) != (i % 2 == 1):
+            return False
+        if (n := node.get(a)) is None or node.get(b) not in adj[n]:
+            return False
+    return True
 
 
 def verify_maximum(

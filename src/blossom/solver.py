@@ -81,9 +81,9 @@ def find_maximum_matching(
     certificate function are kept until the next solve or
     ``certify_maximality`` call, so that ``certify_maximality(g, matching)``
     reads the cover that the stop rule picked for this solve, built from
-    runs of vertices in index order. What is kept, the id list and the last
-    forest, is about 2.4 MiB for a sparse graph of 80,000 vertices and
-    120,000 edges; a solve that counting ended keeps its adjacency instead.
+    runs of vertices in index order. What is kept is what that cover reads
+    (see ``_maximize``), never the adjacency: about 2.4 MiB for a sparse
+    graph of 80,000 vertices and 120,000 edges.
     """
     global _last_solve
     # released first: a solve that raises leaves no earlier solve's slot
@@ -121,11 +121,13 @@ def _maximize(
     unused ids below 4|E| among them, are never matched. The cover is read
     off the count in the first case (``_counted_certificate``), with no
     phase run, and off the failing phase's forest in the second
-    (``_certificate``)."""
+    (``_certificate``). The function holds the id list and the runs its
+    cover reads, never the adjacency."""
     isolated = adj.count([])
     for _ in range(phases):
         if mate.count(-1) - isolated < 2:
-            return lambda: _counted_certificate(adj, ids, len(adj) - isolated)
+            vs = list(compress(ids, adj))
+            return lambda: _counted_certificate(vs)
         forest = _augment_phase(adj, mate, ids, trace)
         if forest is not None:
             return lambda: _certificate(ids, *forest)
@@ -400,15 +402,12 @@ def _certificate(
     return MaximalityCertificate((), frozenset(cover))
 
 
-def _counted_certificate(
-    adj: list[list[int]], ids: list[int], touched: int
-) -> MaximalityCertificate:
+def _counted_certificate(vs: list[int]) -> MaximalityCertificate:
     """The odd set cover of a matching that leaves at most one of the
-    ``touched`` vertices with edges unmatched, read off that count with no
-    phase (see ``_maximize``). An odd count leaves one unmatched, and one
-    odd set of them all holds both ends of every edge. An even count are all
-    matched, and ``leftover_cover`` takes them in index order: the first
-    alone, and one odd set of the rest. No contractions are recorded."""
-    vs = compress(ids, adj)
-    cover = [frozenset(vs)] if touched % 2 else leftover_cover(vs)
+    vertices with edges ``vs``, in index order, unmatched, read off that
+    count with no phase (see ``_maximize``). An odd count leaves one
+    unmatched, and one odd set of them all holds both ends of every edge.
+    An even count are all matched: ``leftover_cover`` takes the first alone
+    and one odd set of the rest. No contractions are recorded."""
+    cover = [frozenset(vs)] if len(vs) % 2 else leftover_cover(vs)
     return MaximalityCertificate((), frozenset(cover))

@@ -29,6 +29,7 @@ from blossom import (
     run_search,
     vertices,
 )
+from blossom.certificate import VerificationReport, _check_cover
 
 TRIANGLE = graph([(1, 2), (2, 3), (1, 3)])
 PATH4 = graph([(1, 2), (2, 3), (3, 4)])
@@ -407,26 +408,163 @@ def reference_maximum_matching(g) -> frozenset:
     raise InvariantViolation("augmentation loop failed to terminate")
 
 
-def reference_certificate(g, matching) -> MaximalityCertificate | None:
-    """The paper-shaped certificate: search, contract each blossom found and
-    search the quotient again, then build the odd set cover of the last
-    level's failed search. None when an augmenting path exists. Its ``x``
-    steps are what ``verify_certificate`` replays."""
+def contraction_chain(g, matching):
+    """``find_augmenting_path``'s contraction chain: search, contract each
+    blossom found and search the quotient again. The steps, the last
+    level's graph and matching, and what its search found there: None, or
+    a found path."""
     cur_g, cur_m = frozenset(g), frozenset(matching)
     steps = []
     for _ in range(len(vertices(cur_g)) + 1):
         found = find_path_or_blossom(cur_g, cur_m)
-        if found is None:
-            cover = build_odd_set_cover(cur_g, cur_m, run_search(cur_g, cur_m).state)
-            return MaximalityCertificate(tuple(steps), cover)
         if not isinstance(found, FoundBlossom):
-            return None
+            return steps, cur_g, cur_m, found
         vs = vertices(cur_g)
         target = fresh_vertex(vs)
         steps.append(ContractionStep(found.stem, found.cycle, target))
         cmap = ContractionMap(frozenset(vs - set(found.cycle)), target)
         cur_g, cur_m = quotient_graph(cmap, cur_g), quotient_graph(cmap, cur_m)
     raise InvariantViolation("contraction chain exceeded the vertex count")
+
+
+def reference_certificate(g, matching) -> MaximalityCertificate | None:
+    """The paper-shaped certificate: the odd set cover of the failed search
+    at the end of the contraction chain. None when an augmenting path
+    exists. Its ``x`` steps are what ``verify_certificate`` replays."""
+    steps, cur_g, cur_m, found = contraction_chain(g, matching)
+    if found is not None:
+        return None
+    cover = build_odd_set_cover(cur_g, cur_m, run_search(cur_g, cur_m).state)
+    return MaximalityCertificate(tuple(steps), cover)
+
+
+def blossoms_of(g, matching, limit: int = 20) -> list[tuple[list[int], list[int]]]:
+    """Up to ``limit`` (stem, cycle) pairs that pass ``is_blossom`` on the
+    graph and matching, found by walking alternating paths of at most 12
+    vertices from each unmatched vertex; none when the matching is not one."""
+    gset, mset = graph(g), graph(matching)
+    if not is_matching(mset):
+        return []
+    adj = adjacency(gset)
+    mate = {a: b for a, b in mset} | {b: a for a, b in mset}
+    out: list[tuple[list[int], list[int]]] = []
+    stack = [[r] for r in sorted(adj, reverse=True) if r not in mate]
+    while stack and len(out) < limit:
+        path = stack.pop()
+        v = path[-1]
+        # an odd number of vertices leaves the path on an unmatched edge
+        nxt = sorted(adj.get(v, set()) - {mate.get(v)}) if len(path) % 2 else [mate.get(v)]
+        for w in reversed(nxt):
+            if w in path:
+                stem, cycle = path[: path.index(w)], path[path.index(w) :] + [w]
+                if is_blossom(gset, mset, stem, cycle):
+                    out.append((stem, cycle))
+            elif w is not None and len(path) < 12:
+                stack.append(path + [w])
+    return out
+
+
+def random_history(rng: random.Random):
+    """A graph, a matching, a contraction history and a cover for testing
+    the replay against ``reference_verify_certificate``. Most steps are
+    genuine blossoms of the graph and matching reached so far; the rest are
+    not. Fresh ids are new, already in the graph, reused from an earlier
+    step, or an id that a contraction removed, and matchings may have a
+    self-loop, edges outside the graph, or a vertex matched twice."""
+    if rng.random() < 0.7:
+        g, m, _, _ = random_blossom_instance(rng, 10)
+    else:
+        g = random_graph(rng, rng.randint(3, 9), 0.5)
+        m = frozenset(e for e in random_matching(rng, g) if rng.random() < 0.7)
+    vs = sorted(vertices(g)) or [1]
+    top, m = vs[-1], set(m)
+    free = [v for v in vs if v not in vertices(m)]
+    kind = rng.randrange(8)
+    if kind == 0:
+        m.add((top + 1, top + 2))
+    elif kind == 1 and free:
+        m.add((rng.choice(free), top + 1 + rng.randrange(2)))
+    elif kind == 2 and len(free) > 1:
+        m.update((v, top + 1 + i) for i, v in enumerate(rng.sample(free, 2)))
+    elif kind == 3 and len(vs) > 1:
+        m.add(edge(*rng.sample(vs, 2)))
+    elif kind == 4 and rng.random() < 0.2:
+        m.add((top, top))
+    cur_g, cur_m = frozenset(g), frozenset(m)
+    used, gone, steps = [], [], []
+    for _ in range(rng.randint(1, 5)):
+        found = blossoms_of(cur_g, cur_m) if (top, top) not in m else []
+        if found and rng.random() < 0.85:
+            stem, cycle = rng.choice(found)
+            if rng.random() < 0.1:
+                stem = stem[2:]
+            elif rng.random() < 0.1:
+                cycle = cycle[1:] + cycle[1:2]
+        else:
+            pool = sorted(vertices(cur_g) | set(used)) or [0]
+            cycle = [rng.choice(pool) for _ in range(rng.choice((2, 3, 5)))]
+            stem, cycle = [], cycle + cycle[:1]
+        cvs = vertices(cur_g)
+        fresh = rng.choice(
+            [max(cvs | vertices(cur_m) | {top}) + 1] * 8
+            + used[-1:] + gone[-1:] + sorted(cvs)[:1] + [rng.randint(0, top + 3)]
+        )
+        steps.append(ContractionStep(list(stem), list(cycle), fresh))
+        if (top, top) in m or fresh in cvs or not is_blossom(cur_g, cur_m, stem, cycle):
+            break
+        cmap = ContractionMap(frozenset(cvs - set(cycle)), fresh)
+        cur_g, cur_m = quotient_graph(cmap, cur_g), quotient_graph(cmap, cur_m)
+        used.append(fresh)
+        gone += cycle
+    fvs = sorted(vertices(cur_g))
+    kind = rng.randrange(3)
+    if kind == 0:
+        cover = [frozenset({v}) for v in fvs[rng.random() < 0.3 :]]
+    elif kind == 1:
+        cover = [frozenset(fvs)] if len(fvs) % 2 else [frozenset(fvs[:1]), frozenset(fvs[1:])]
+    else:
+        pool = fvs + [top + 7]
+        cover = [frozenset(rng.sample(pool, min(len(pool), rng.choice((1, 3))))) for _ in range(3)]
+    if rng.random() < 0.2:
+        m = [(b, a) for a, b in m]
+    return g, m, steps, cover
+
+
+def reference_verify_certificate(
+    g, matching, contractions, cover
+) -> tuple[VerificationReport, list[str]]:
+    """``verify_certificate`` with its history replayed step by step on the
+    spec: each step is checked with ``is_blossom`` on the whole current
+    graph and matching, which ``quotient_graph`` then contracts under
+    ``ContractionMap(vertices(g) - cycle, fresh)``. Quadratic in the
+    history; the reference the near-linear replay is checked against."""
+    gset, mset = frozenset(g), frozenset(matching)
+    matching_ok, subset_ok = is_matching(mset), mset <= gset
+    problems: list[str] = []
+    if contractions or not (matching_ok and subset_ok):
+        try:
+            gset, mset = graph(gset), graph(mset)
+        except ValueError:
+            if contractions:
+                problems.append("contraction 1: the graph or the matching has a self-loop")
+            contractions = ()
+        matching_ok, subset_ok = is_matching(mset), mset <= gset
+    for i, step in enumerate(contractions, start=1):
+        vs = vertices(gset)
+        if step.fresh in vs:
+            problems.append(f"contraction {i}: its target already occurs in the graph")
+            break
+        if not is_blossom(gset, mset, step.stem, step.cycle):
+            problems.append(
+                f"contraction {i}: its stem and cycle are not a blossom "
+                f"of the graph it was contracted in"
+            )
+            break
+        cmap = ContractionMap(frozenset(vs - set(step.cycle)), step.fresh)
+        gset, mset = quotient_graph(cmap, gset), quotient_graph(cmap, mset)
+    cover_ok, total = _check_cover(cover, gset)
+    report = VerificationReport(matching_ok, subset_ok, cover_ok, total, len(mset))
+    return report, problems
 
 
 def degree(g: Iterable[Edge], v: int) -> int:

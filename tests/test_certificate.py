@@ -17,6 +17,7 @@ from blossom import (
     parse_certificate,
     verify_certificate,
     verify_maximum,
+    vertices,
 )
 from support import (
     DEMO12,
@@ -24,8 +25,13 @@ from support import (
     TRIANGLE,
     all_graphs,
     all_matchings,
+    contraction_chain,
+    random_blossom_instance,
     random_graph,
+    random_history,
+    random_matching,
     reference_certificate,
+    reference_verify_certificate,
 )
 
 
@@ -172,7 +178,8 @@ def test_overlapping_larger_sets_are_decided_through_the_holder_map():
 def test_overlapping_larger_sets_take_memory_linear_in_the_cover():
     # two sets of 1,001 vertices that share all but one: a union copied per
     # shared vertex would allocate about 1,000 sets of 1,002 vertices
-    # (tens of MB); a list of holders per vertex stays well under 1 MB
+    # (tens of MB); a map from each vertex to the set of the indices of the
+    # sets that hold it stays well under 1 MB
     n = 1001
     cover = [frozenset(range(n)), frozenset(range(1, n + 1))]
     tracemalloc.start()
@@ -202,6 +209,118 @@ def test_overlapping_larger_sets_take_time_near_linear_in_the_cover():
         return min(times)
 
     assert best_of_3(2_000, 20_000) / best_of_3(500, 5_000) < 8
+
+
+def test_replay_takes_time_near_linear_in_the_history():
+    # k disjoint triangles, each contracted by one x line with an empty
+    # stem: a replay that runs is_blossom and quotient_graph on the whole
+    # graph per step is quadratic (a ratio of about 17 from k=250 to four
+    # times that), one that updates its state per step stays near linear
+    def best_of_3(k):
+        g = [e for i in range(0, 3 * k, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+        m = [(i + 1, i + 2) for i in range(0, 3 * k, 3)]
+        steps = [ContractionStep([], [i, i + 1, i + 2, i], 3 * k + i) for i in range(0, 3 * k, 3)]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report, problems = verify_certificate(g, m, steps, [])
+            times.append(time.perf_counter() - start)
+        assert report.verdict and not problems and report.matching_size == 0
+        return min(times)
+
+    assert best_of_3(1_000) / best_of_3(250) < 8
+
+
+def history_cases():
+    """Graphs, matchings, histories and covers for the replay's differential
+    test: the histories the other tests verify and tampered forms of them,
+    the contraction chains of find_augmenting_path, planted blossoms, and
+    seeded valid and invalid histories."""
+    cert = reference_certificate(DEMO12, DEMO12_MATCHING)
+    steps = list(cert.contractions)
+    first = steps[0]
+    for history in (
+        steps,
+        [ContractionStep([], first.cycle, first.fresh)] + steps[1:],
+        [ContractionStep(first.stem, first.cycle, 11)] + steps[1:],
+        steps[1:],
+        steps + steps[-1:],
+    ):
+        for cover in (cert.cover, frozenset(list(cert.cover)[1:])):
+            yield DEMO12, DEMO12_MATCHING, history, cover
+            yield reversed_pairs(DEMO12), reversed_pairs(DEMO12_MATCHING), history, cover
+    paw = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    triangle = ContractionStep([], [0, 1, 2, 0], 4)
+    yield paw, [(3, 3)], [triangle], [{4}]
+    yield paw + [(3, 3)], [(0, 1)], [triangle], [{4}]
+    yield paw, [(1, 2)], [triangle], [{4}]
+    yield paw, [(1, 2), (3, 5)], [triangle, ContractionStep([], [4, 3, 5, 4], 6)], [{4}]
+    # two matched vertices with ends outside the graph leave the fresh
+    # vertex matched twice, so the next step is no blossom, not even a
+    # triangle away from it
+    g = paw + [(3, 5), (10, 11), (11, 12), (10, 12)]
+    twice = [(1, 2), (3, 7), (5, 8), (11, 12)]
+    for fresh in (13, 3, 8):
+        yield g, twice, [triangle, ContractionStep([], [10, 11, 12, 10], fresh)], [{3}, {4}]
+    # a blossom with no outside edge leaves the graph: its fresh id, or a
+    # contracted vertex's, may be a later target
+    two = [(0, 1), (1, 2), (0, 2), (5, 6), (6, 7), (5, 7)]
+    for fresh in (9, 0, 5):
+        second = ContractionStep([], [5, 6, 7, 5], fresh)
+        yield two, [(1, 2), (6, 7)], [ContractionStep([], [0, 1, 2, 0], 9), second], []
+        yield two, [(1, 2), (6, 7), (9, 10)], [ContractionStep([], [0, 1, 2, 0], 9), second], []
+    # 8 lies outside the graph, so (3, 8) becomes (3, 9), then (3, 10) once
+    # 9 has left the graph, and (3, 10) is the matched edge of the last step
+    three = [
+        ContractionStep([], [0, 1, 2, 0], 9),
+        ContractionStep([], [5, 6, 7, 5], 10),
+        ContractionStep([], [11, 3, 10, 11], 12),
+    ]
+    yield two + [(3, 5), (3, 11), (5, 11)], [(1, 2), (6, 7), (3, 8)], three, []
+    for extra in [(1, 3), (2, 3)]:
+        yield graph([(0, 1), (1, 2), (0, 2), extra]), {(1, 2), (1, 3)}, [triangle], [{3}]
+    # the x lines of DEMO12's certificate with one field changed
+    rng = random.Random(27)
+    text = format_certificate(steps, cert.cover)
+    for _ in range(300):
+        lines = text.splitlines()
+        at = rng.choice([i for i, line in enumerate(lines) if line.startswith("x ")])
+        tokens = lines[at].split()
+        tokens[rng.randrange(1, len(tokens))] = str(rng.randint(0, 13))
+        lines[at] = " ".join(tokens)
+        try:
+            history, cover = parse_certificate("\n".join(lines))
+        except ValueError:
+            continue
+        yield DEMO12, DEMO12_MATCHING, history, cover
+    rng = random.Random(61)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 10), 0.45)
+        m = random_matching(rng, g)
+        history, last_g, _, found = contraction_chain(g, m)
+        cover = [{v} for v in vertices(last_g)]
+        if found is None:
+            cover = reference_certificate(g, m).cover
+        yield g, m, history, cover
+        bg, bm, stem, cycle = random_blossom_instance(rng, 10)
+        yield bg, bm, [ContractionStep(stem, cycle, max(vertices(bg)) + 1)], [{1}, {2, 3, 4}]
+    rng = random.Random(27)
+    for _ in range(3_000):
+        yield random_history(rng)
+
+
+def test_replay_agrees_with_the_reference_replay():
+    # the reports and problems equal those of the replay that runs
+    # is_blossom and quotient_graph on the whole graph per step; the cases
+    # include contractions that leave a vertex matched twice, fresh ids of
+    # blossoms that left the graph reused, and matched vertices that no edge
+    # holds sent to a fresh vertex
+    contracted = 0
+    for g, m, history, cover in history_cases():
+        expected = reference_verify_certificate(g, m, history, cover)
+        assert verify_certificate(g, m, history, cover) == expected, (g, m, history, cover)
+        contracted += int(expected[1][0].split()[1][:-1]) - 1 if expected[1] else len(history)
+    assert contracted > 2_000
 
 
 def test_malformed_covers_and_edges_raise_as_before():
