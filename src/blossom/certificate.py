@@ -224,7 +224,7 @@ def _replay(
         if (n := node.get(fresh)) is not None and adj[n]:
             problems.append(f"contraction {i}: its target already occurs in the graph")
             break
-        if not (matched and _is_blossom_of(node, adj, mate, step.stem, cycle)):
+        if not (_is_blossom_of(node, adj, mate, step.stem, cycle) and matched):
             problems.append(
                 f"contraction {i}: its stem and cycle are not a blossom "
                 f"of the graph it was contracted in"
@@ -268,7 +268,8 @@ def _is_blossom_of(
     stem: Sequence[int],
     cycle: Sequence[int],
 ) -> bool:
-    """``is_blossom`` on the replay's graph and matching, which is one."""
+    """``is_blossom`` on the replay's graph and partner map, but for its
+    check that the matching is one, in its order up to that check."""
     if not is_odd_cycle(cycle) or not is_simple(list(stem) + list(cycle[:-1])):
         return False
     whole = list(stem) + list(cycle)

@@ -215,11 +215,26 @@ def test_replay_takes_time_near_linear_in_the_history():
     # k disjoint triangles, each contracted by one x line with an empty
     # stem: a replay that runs is_blossom and quotient_graph on the whole
     # graph per step is quadratic (a ratio of about 17 from k=250 to four
-    # times that), one that updates its state per step stays near linear
-    def best_of_3(k):
+    # times that), one that updates its state per step stays near linear.
+    # In a windmill, k triangles sharing a hub that each step contracts
+    # with one blade, it stays so only if the blade's sets merge into the
+    # hub's (the other way round reads about 12)
+    def triangles(k):
         g = [e for i in range(0, 3 * k, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
         m = [(i + 1, i + 2) for i in range(0, 3 * k, 3)]
         steps = [ContractionStep([], [i, i + 1, i + 2, i], 3 * k + i) for i in range(0, 3 * k, 3)]
+        return g, m, steps
+
+    def windmill(k):
+        g = [e for i in range(1, 2 * k, 2) for e in ((0, i), (0, i + 1), (i, i + 1))]
+        m = [(i, i + 1) for i in range(1, 2 * k, 2)]
+        hubs = [0, *range(2 * k + 1, 3 * k + 1)]
+        blades = range(1, 2 * k, 2)
+        steps = [ContractionStep([], [h, i, i + 1, h], f) for h, f, i in zip(hubs, hubs[1:], blades)]
+        return g, m, steps
+
+    def best_of_3(shape, k):
+        g, m, steps = shape(k)
         times = []
         for _ in range(3):
             start = time.perf_counter()
@@ -228,7 +243,8 @@ def test_replay_takes_time_near_linear_in_the_history():
         assert report.verdict and not problems and report.matching_size == 0
         return min(times)
 
-    assert best_of_3(1_000) / best_of_3(250) < 8
+    for shape in (triangles, windmill):
+        assert best_of_3(shape, 1_000) / best_of_3(shape, 250) < 8, shape.__name__
 
 
 def history_cases():
@@ -321,6 +337,17 @@ def test_replay_agrees_with_the_reference_replay():
         assert verify_certificate(g, m, history, cover) == expected, (g, m, history, cover)
         contracted += int(expected[1][0].split()[1][:-1]) - 1 if expected[1] else len(history)
     assert contracted > 2_000
+
+
+def test_replay_reads_a_step_before_the_matching_as_the_reference_does():
+    # is_blossom hashes the stem and cycle before it checks that the
+    # matching is one, so a stem it cannot hash raises even when the
+    # matching is not one
+    g, m = [(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 2)]
+    step = ContractionStep([[0]], [0, 1, 2, 0], 3)
+    for replay in (reference_verify_certificate, verify_certificate):
+        with pytest.raises(TypeError):
+            replay(g, m, [step], [])
 
 
 def test_malformed_covers_and_edges_raise_as_before():
