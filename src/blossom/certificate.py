@@ -157,9 +157,15 @@ def verify_certificate(
     1-based position. A self-loop in either set leaves the history
     unreplayed, with one problem naming contraction 1. The cover is checked
     against the final graph, and ``matching_size`` is the final matching's.
-    Failures land in the report; nothing is raised. Contracting a blossom
-    keeps a matching a matching, so a true verdict with no problems proves
-    the given matching maximum.
+    Contracting a blossom keeps a matching a matching, so a true verdict
+    with no problems proves the given matching maximum.
+
+    Failures of well-formed input land in the report. Malformed input
+    raises where a check reads it: ``TypeError`` for a cover member that is
+    not iterable or a stem or cycle member that cannot be hashed, and
+    ``ValueError`` for an edge that is not a pair. The CLI's parsers never
+    produce these: graph and matching files give pairs of ints, and
+    certificate files give steps and cover sets of ints.
     """
     gset, mset = frozenset(g), frozenset(matching)
     matching_ok, subset_ok = is_matching(mset), mset <= gset

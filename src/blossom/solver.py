@@ -72,10 +72,14 @@ def find_maximum_matching(
     their root paths, and both trees are dead for the rest of the phase, so
     one phase augments along many vertex-disjoint paths. A blossom closed on
     the way is contracted in place, by relabelling the base of its vertices.
-    The phases run under the solve's stop rule (``_maximize``). ``trace``
-    receives one record per edge a phase examines, in the layouts
-    ``run_search`` uses and with the input's vertex ids, and changes nothing
-    the solve does.
+    A vertex's adjacency list is sorted where a scan, the greedy start's or
+    a phase's, reads it, so every scan reads neighbours in increasing index
+    order whatever order the input iterates in, and a list that no scan
+    reads is never sorted; sorting a sorted list again is one pass of
+    compares. The phases run under the solve's stop rule (``_maximize``).
+    ``trace`` receives one record per edge a phase examines, in the layouts
+    ``run_search`` uses and with the input's vertex ids, and changes
+    nothing the solve does.
 
     When ``g`` is a ``frozenset``, the graph, the matching and the solve's
     certificate function are kept until the next solve or
@@ -93,7 +97,9 @@ def find_maximum_matching(
     mate = [-1] * n
     for v in range(n):
         if mate[v] < 0:
-            for w in adj[v]:
+            ns = adj[v]
+            ns.sort()
+            for w in ns:
                 if mate[w] < 0:
                     mate[v], mate[w] = w, v
                     break
@@ -138,8 +144,9 @@ def _renumber(
     g: Iterable[Edge],
 ) -> tuple[frozenset[Edge], list[int], dict[int, int] | list[int], list[list[int]]]:
     """The graph's canonical edge set, the vertex id of each index 0..n-1 in
-    increasing order, the index of each id, and the sorted adjacency lists
-    over the indices.
+    increasing order, the index of each id, and the adjacency lists over
+    the indices, in the order the edges are read: each list is sorted where
+    a scan first reads it (see ``find_maximum_matching``).
 
     A frozenset is read in one loop (``_direct_adjacency``) that does
     ``graph()``'s canonical check and builds the adjacency as it goes. When
@@ -151,7 +158,8 @@ def _renumber(
     frozenset the loop refuses: if that makes it canonical, the loop runs
     once more on the result. A negative id, or one past the bound, indexes
     its ids in sorted order through a dict, and the adjacency is the loop's
-    on the pairs of indices, which are canonical and below the bound.
+    on a list of the pairs of indices, which are canonical, unique and
+    below the bound.
     """
     gset = g if type(g) is frozenset else graph(g)
     direct = _direct_adjacency(gset)
@@ -164,14 +172,15 @@ def _renumber(
         return gset, ids, ids, adj
     ids = sorted(set(chain.from_iterable(gset)))
     index = {v: i for i, v in enumerate(ids)}
-    _, adj = _direct_adjacency(frozenset((index[a], index[b]) for a, b in gset))
+    _, adj = _direct_adjacency([(index[a], index[b]) for a, b in gset])
     return gset, ids, index, adj
 
 
-def _direct_adjacency(gset: frozenset) -> tuple[list[int], list[list[int]]] | None:
-    """The ids 0..n-1 and the sorted adjacency lists of a frozenset whose
-    members are all ``(a, b)`` tuples with ``0 <= a < b < 4 * len(gset)``,
-    where n - 1 is the largest id; None for any other frozenset.
+def _direct_adjacency(pairs: frozenset | list[Edge]) -> tuple[list[int], list[list[int]]] | None:
+    """The ids 0..n-1 and the adjacency lists, unsorted, of a frozenset or
+    a list of unique pairs whose members are all ``(a, b)`` tuples with
+    ``0 <= a < b < 4 * len(pairs)``, where n - 1 is the largest id; None
+    for any other.
 
     The adjacency lists hold one fresh int per vertex, made in index order
     alongside the lists: the phases run faster over these than over the
@@ -179,13 +188,13 @@ def _direct_adjacency(gset: frozenset) -> tuple[list[int], list[list[int]]] | No
     to pair. ``ids`` holds the graph's own int for each vertex with edges,
     so that the matching and cover are built from the graph's ints, not from
     copies: a set lookup that meets the same object skips comparing values."""
-    bound = 4 * len(gset)
+    bound = 4 * len(pairs)
     adj: list[list[int]] = []
     index: list[int] = []
     ids: list[int] = []
     n = 0
     try:
-        for e in gset:
+        for e in pairs:
             if type(e) is not tuple:
                 return None
             a, b = e
@@ -205,8 +214,6 @@ def _direct_adjacency(gset: frozenset) -> tuple[list[int], list[list[int]]] | No
     except (TypeError, ValueError):
         # not a pair of ints: graph() raises, or the dict path sorts them
         return None
-    for ns in adj:
-        ns.sort()
     return ids, adj
 
 
@@ -217,9 +224,11 @@ def _augment_phase(
     each blossom that closes. An edge that joins two live trees augments
     along their root paths and kills both trees: their vertices are no
     longer scanned and edges into them are skipped, while the rest of the
-    forest keeps growing. Returns None when the matching grew, and otherwise
-    the forest's final ``label`` array and ``members`` lists, which then
-    describe every outer blossom, since no tree is dead.
+    forest keeps growing. A vertex's adjacency list is sorted just before
+    its scan, so its edges are examined in increasing neighbour order.
+    Returns None when the matching grew, and otherwise the forest's final
+    ``label`` array and ``members`` lists, which then describe every outer
+    blossom, since no tree is dead.
 
     ``parent[x]`` is the vertex an odd vertex was entered from. Contracting
     a blossom also sets it on the blossom's even vertices, pointing across
@@ -246,7 +255,9 @@ def _augment_phase(
         r = root[v]
         if dead and r in dead:
             continue
-        for w in adj[v]:
+        ns = adj[v]
+        ns.sort()
+        for w in ns:
             # An unlabelled vertex is its own root, which is never dead.
             if base[v] == base[w] or label[w] == ODD or dead and root[w] in dead:
                 if trace is not None:

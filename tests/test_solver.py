@@ -321,21 +321,52 @@ def test_certify_rejects_bad_matchings():
 
 def test_ids_0_to_n_minus_1_index_themselves():
     # ids 0..n-1 skip the id-to-index dict: the id list is the index
+    # (the lists keep the order the edges are read in; a scan sorts them)
     gset, ids, index, adj = _renumber([(1, 0), (2, 1), (0, 2), (3, 2)])
     assert gset == graph([(0, 1), (1, 2), (0, 2), (2, 3)])
     assert ids == [0, 1, 2, 3] and index is ids
-    assert adj == [[1, 2], [0, 2], [0, 1, 3], [2]]
+    assert list(map(sorted, adj)) == [[1, 2], [0, 2], [0, 1, 3], [2]]
     # an unused id below 4|E| is its own index too, with no edges
     _, ids, index, adj = _renumber([(1, 0), (3, 1)])
     assert ids == [0, 1, 2, 3] and index is ids
-    assert adj == [[1], [0, 3], [], [1]]
+    assert list(map(sorted, adj)) == [[1], [0, 3], [], [1]]
     _, ids, index, adj = _renumber([(0, 1), (1, 7)])
     assert ids == list(range(8)) and index is ids and adj[7] == [1]
     # a negative id, or one at 4|E| or past it, needs the dict
     for edges, used in (([(-1, 0), (0, 1)], [-1, 0, 1]), ([(0, 1), (1, 8)], [0, 1, 8])):
         _, ids, index, adj = _renumber(edges)
         assert ids == used and index == {v: i for i, v in enumerate(used)}
-        assert adj == [[1], [0, 2], [1]]
+        assert list(map(sorted, adj)) == [[1], [0, 2], [1]]
+
+
+def test_scans_read_neighbours_in_increasing_order_whatever_the_edge_order():
+    # the adjacency lists keep the order the edges iterate in, and a scan
+    # sorts a list where it reads it: two equal frozensets that iterate
+    # differently give the same matching, certificates and trace; one made
+    # from a set and one from a sorted list get hash tables of different
+    # sizes in CPython, which reorders most of the adjacency lists
+    g1 = sparse_graph(random.Random(7), 44, 3)
+    g2 = frozenset(sorted(g1))
+    assert g1 == g2 and list(g1) != list(g2)
+    intake = _renumber(g1)[3]
+    assert intake != _renumber(g2)[3]
+    outputs = []
+    for g in (g1, g2):
+        records: list[str] = []
+        m = find_maximum_matching(g, trace=records.append)
+        # the solve's own cover, then an equal matching's through the full path
+        certs = [certify_maximality(g, given) for given in (m, frozenset(list(m)))]
+        outputs.append((m, [format_certificate(c.contractions, c.cover) for c in certs], records))
+    assert outputs[0] == outputs[1]
+    # a vertex's scan is a run of its records; take the first run that
+    # reads a list stored out of order to its end, growing and skipping
+    for v, run in itertools.groupby(map(str.split, outputs[0][2]), lambda r: int(r[1])):
+        run = list(run)
+        if intake[v] != sorted(intake[v]) and {r[0] for r in run} == {"grow", "skip"}:
+            break
+    else:
+        pytest.fail("no scan reads a list stored out of order to its end")
+    assert [int(r[2]) for r in run] == sorted(intake[v])
 
 
 def test_intake_fallbacks_give_the_result_of_graph(monkeypatch):

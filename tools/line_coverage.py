@@ -6,7 +6,7 @@ lies in ``src/blossom``. A statement is a line where an ``ast`` statement
 starts and the compiler emits code, so docstrings and bare ``try:`` lines
 do not count. Each statement that never ran is printed as
 ``path:line: source``, and the exit code is pytest's. Code run in a
-subprocess, such as the CLI tests' ``python -m blossom``, is not seen.
+subprocess, such as the CLI tests' ``python -m blossom.cli``, is not seen.
 Slow, since every call made while the tests run passes through the tracer:
 
     python3 tools/line_coverage.py
