@@ -3,15 +3,17 @@
 # The search grows trees from the unmatched vertices: vertices entered
 # through a non-matching edge get an odd label, their matching partners an
 # even label. A trace callback receives one record per examined edge, and
-# the final state carries the labels, parents, and examined edges.
+# the final state carries the labels, parents, and examined edges, which
+# check_search_invariants checks against the forest's invariants.
 
-from blossom import Parity, graph, run_search
+from blossom import Parity, check_search_invariants, graph, run_search
 
 g = graph([(1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (3, 7)])
 m = graph([(2, 3), (4, 5)])
 
 print("trace of each examined edge:")
-outcome = run_search(g, m, check_invariants=True, trace=lambda line: print(" ", line))
+outcome = run_search(g, m, trace=lambda line: print(" ", line))
+check_search_invariants(g, m, outcome.state)  # raises on a broken forest
 
 p1, p2 = outcome.paths
 print("tree paths returned:", p1, "and", p2)

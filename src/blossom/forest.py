@@ -53,6 +53,13 @@ class SearchResult:
 Trace = Callable[[str], None]
 
 
+def _trace_record(kind: str, a: int, b: int, c: int = 0, r: int = 0) -> str:
+    """The record of the examined edge (a, b); a ``grow`` adds b's partner c and root r."""
+    if kind != "grow":
+        return f"{kind} {a} {b}"
+    return f"grow {a} {b} label {b} odd {r} label {c} even {r} parent {b} {a} parent {c} {b}"
+
+
 def follow(parent: Mapping[int, int], v: int) -> list[int]:
     """Ascend parent pointers from ``v`` to its root.
 
@@ -73,7 +80,6 @@ def run_search(
     g: Iterable[Edge],
     matching: Iterable[Edge],
     *,
-    check_invariants: bool = False,
     trace: Trace | None = None,
 ) -> SearchResult:
     """Run the alternating-forest search and return paths plus final state.
@@ -93,9 +99,8 @@ def run_search(
 
     Raises ValueError unless the matching is a matching inside the graph.
     Selection is by smallest pair, and a matched vertex has a unique partner,
-    so runs are fully deterministic. With ``check_invariants`` the state is
-    re-validated after every iteration (quadratic, for tests). ``trace``
-    receives one line per examined edge.
+    so runs are fully deterministic. ``trace`` receives one line per
+    examined edge. ``check_search_invariants`` checks any state returned.
     """
     gset = graph(g)
     mset = _checked_matching(gset, matching)
@@ -117,8 +122,6 @@ def run_search(
     for u in sorted(set(adj) - set(partner)):
         labels[u] = Label(u, Parity.EVEN)
         open_candidates(u)
-    if check_invariants:
-        check_search_invariants(gset, mset, state)
 
     while heap:
         # Each pair was pushed once, while its edge was unexamined. Since
@@ -128,7 +131,7 @@ def run_search(
         found = labels.get(v2)
         if found is not None and found.parity is Parity.EVEN:
             if trace is not None:
-                trace(f"found {v1} {v2}")
+                trace(_trace_record("found", v1, v2))
             return SearchResult((follow(parent, v1), follow(parent, v2)), state)
         examined.add(edge(v1, v2))
         if found is None:
@@ -140,15 +143,10 @@ def run_search(
             parent[v2] = v1
             parent[v3] = v2
             if trace is not None:
-                trace(
-                    f"grow {v1} {v2} label {v2} odd {root} label {v3} even {root} "
-                    f"parent {v2} {v1} parent {v3} {v2}"
-                )
+                trace(_trace_record("grow", v1, v2, v3, root))
             open_candidates(v3)
         elif trace is not None:
-            trace(f"skip {v1} {v2}")
-        if check_invariants:
-            check_search_invariants(gset, mset, state)
+            trace(_trace_record("skip", v1, v2))
     return SearchResult(None, state)
 
 

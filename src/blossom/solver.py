@@ -12,7 +12,7 @@ from operator import eq, not_
 from .assembly import FoundBlossom, find_path_or_blossom
 from .certificate import MaximalityCertificate
 from .contraction import ContractionMap, fresh_vertex, lift_path, quotient_graph
-from .forest import Trace, leftover_cover
+from .forest import Trace, _trace_record, leftover_cover
 from .graph import Edge, graph, vertices
 from .matching import InvariantViolation, _checked_matching
 
@@ -77,9 +77,9 @@ def find_maximum_matching(
     order whatever order the input iterates in, and a list that no scan
     reads is never sorted; sorting a sorted list again is one pass of
     compares. The phases run under the solve's stop rule (``_maximize``).
-    ``trace`` receives one record per edge a phase examines, in the layouts
-    ``run_search`` uses and with the input's vertex ids, and changes
-    nothing the solve does.
+    ``trace`` receives one record per edge a phase examines, with the
+    input's vertex ids, from the formatter that writes ``run_search``'s
+    records, and changes nothing the solve does.
 
     When ``g`` is a ``frozenset``, the graph, the matching and the solve's
     certificate function are kept until the next solve or
@@ -261,7 +261,7 @@ def _augment_phase(
             # An unlabelled vertex is its own root, which is never dead.
             if base[v] == base[w] or label[w] == ODD or dead and root[w] in dead:
                 if trace is not None:
-                    trace(f"skip {ids[v]} {ids[w]}")
+                    trace(_trace_record("skip", ids[v], ids[w]))
             elif label[w] == 0:
                 x = mate[w]
                 label[w], label[x] = ODD, EVEN
@@ -269,14 +269,10 @@ def _augment_phase(
                 root[x] = r
                 queue.append(x)
                 if trace is not None:
-                    v1, v2, v3 = ids[v], ids[w], ids[x]
-                    trace(
-                        f"grow {v1} {v2} label {v2} odd {ids[r]} label {v3} even {ids[r]} "
-                        f"parent {v2} {v1} parent {v3} {v2}"
-                    )
+                    trace(_trace_record("grow", ids[v], ids[w], ids[x], ids[r]))
             else:
                 if trace is not None:
-                    trace(f"found {ids[v]} {ids[w]}")
+                    trace(_trace_record("found", ids[v], ids[w]))
                 if root[w] != r:
                     _flip_to_root(v, parent, mate)
                     _flip_to_root(w, parent, mate)

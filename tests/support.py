@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
+import types
 from collections.abc import Iterable
 
+import blossom.forest
 import blossom.solver
 from blossom import (
     ContractionMap,
@@ -14,9 +17,12 @@ from blossom import (
     FoundBlossom,
     InvariantViolation,
     MaximalityCertificate,
+    SearchResult,
+    SearchState,
     adjacency,
     augment,
     build_odd_set_cover,
+    check_search_invariants,
     edge,
     edges_of_path,
     find_augmenting_path,
@@ -196,6 +202,44 @@ def count_phases(monkeypatch) -> list:
 
     monkeypatch.setattr(blossom.solver, "_augment_phase", counting)
     return calls
+
+
+def checked_search(g, matching) -> tuple[SearchResult, int]:
+    """``run_search`` with ``check_search_invariants`` applied to every state
+    it passes through: the rooted forest, the state after each examined edge
+    and the state it returns. The result and the number of states checked.
+
+    The search is watched from outside: the ``SearchState`` it builds is
+    recorded, and each pop of its candidate heap, which starts an iteration,
+    first checks the state that the one before left. Both hooks are restored
+    before the search's result is checked."""
+    forest = blossom.forest
+    states: list[SearchState] = []
+    pops = 0
+
+    def recorded() -> SearchState:
+        states.append(SearchState())
+        return states[-1]
+
+    def checked_pop(heap):
+        nonlocal pops
+        check_search_invariants(g, matching, states[0])
+        pops += 1
+        return heapq.heappop(heap)
+
+    saved = forest.SearchState, forest.heapq
+    forest.SearchState = recorded
+    forest.heapq = types.SimpleNamespace(heappush=heapq.heappush, heappop=checked_pop)
+    try:
+        result = run_search(g, matching)
+    finally:
+        forest.SearchState, forest.heapq = saved
+    assert len(states) == 1 and states[0] is result.state
+    # each pop examines one unmatched edge, except a last one that finds a
+    # path or blossom: no iteration went unchecked
+    assert pops == len(result.state.examined - graph(matching)) + (result.paths is not None)
+    check_search_invariants(g, matching, result.state)
+    return result, pops + 1
 
 
 class PlantedInstance:

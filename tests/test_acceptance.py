@@ -35,6 +35,7 @@ from support import (
     TRIANGLE,
     all_graphs,
     all_matchings,
+    checked_search,
     random_blossom_instance,
     random_graph,
     random_matching,
@@ -117,12 +118,13 @@ def test_a5_lifted_quotient_paths_augment_the_original():
 
 def test_a6_search_invariants_hold_on_random_instances():
     rng = random.Random(6001)
+    checked = 0
     for _ in range(200):
         n = rng.randint(1, 20)
         g = random_graph(rng, n, rng.choice(EDGE_PROBABILITIES))
         m = random_matching(rng, g)
-        run_search(g, m, check_invariants=True)  # raises on any violation
-    print("A6: PASS (200 random searches, n <= 20, every state checked)")
+        checked += checked_search(g, m)[1]  # raises on any violation
+    print(f"A6: PASS (200 random searches, n <= 20, every state checked: {checked})")
 
 
 def _check_failing_chain(g, enumerate_matchings):

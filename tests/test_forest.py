@@ -15,7 +15,7 @@ from blossom import (
     verify_maximum,
 )
 from blossom.forest import leftover_cover
-from support import PATH4, TRIANGLE, random_graph, random_matching
+from support import PATH4, TRIANGLE, checked_search, random_graph, random_matching
 
 
 def test_follow():
@@ -115,7 +115,7 @@ def test_invariants_hold_during_random_searches():
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 12), 0.45)
         m = random_matching(rng, g)
-        run_search(g, m, check_invariants=True)
+        checked_search(g, m)
 
 
 def test_invariants_hold_on_the_state_a_search_returns():

@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib.util
 import io
@@ -35,6 +36,8 @@ from blossom import (
 )
 from blossom.cli import parse_matching_file, run_solve
 from blossom.solver import (
+    EVEN,
+    ODD,
     _blossom_base,
     _direct_adjacency,
     _flip_to_root,
@@ -1068,6 +1071,113 @@ def test_a_trace_does_not_change_the_solve(phases, bench_family_graphs):
         ran += solved > 0
         traced_none += solved == 0
     assert ran > 10 and traced_none > 10
+
+
+@pytest.fixture
+def engine_checks(monkeypatch) -> collections.Counter:
+    """Check the engine's arrays from outside, through the helpers that
+    receive them, for the rest of the test. The counter returned counts the
+    phases, augmentations, blossom steps and failing phases checked.
+
+    The graph's edges are read from the adjacency ``_renumber`` returns. At
+    every phase boundary and blossom step, ``mate`` is a matching whose
+    pairs are graph edges; it is not checked between the two
+    ``_flip_to_root`` calls of one augmentation, since the first leaves its
+    end's partner for the caller to set. At every blossom step each base is
+    its own base. At every augmentation the walk x, mate[x],
+    parent[mate[x]], ... from each end is a simple alternating path of
+    graph edges to an unmatched root, and the two walks are disjoint and
+    joined by a graph edge. When a phase fails, its ``members`` lists are
+    disjoint outer blossoms: base first, odd length, only ``EVEN``
+    vertices; and every ``ODD`` vertex is matched to an ``EVEN`` one.
+    ``label``, ``root`` and ``members`` mid-phase reach no helper and are
+    not seen."""
+    solver = blossom.solver
+    seen: collections.Counter = collections.Counter()
+    edges: set[tuple[int, int]] = set()
+    walks: list[list[int]] = []
+    renumber, augment_phase = solver._renumber, solver._augment_phase
+    blossom_base, flip_to_root = solver._blossom_base, solver._flip_to_root
+
+    def check_matching(mate):
+        for v, w in enumerate(mate):
+            assert w < 0 or (mate[w] == v and (v, w) in edges), f"mate[{v}] = {w}"
+
+    def renumbered(g):
+        out = renumber(g)
+        edges.clear()
+        edges.update((v, w) for v, ns in enumerate(out[3]) for w in ns)
+        return out
+
+    def phase(adj, mate, ids, trace):
+        check_matching(mate)
+        forest = augment_phase(adj, mate, ids, trace)
+        check_matching(mate)
+        assert not walks, "an augmentation flipped one end only"
+        seen["phases"] += 1
+        if forest is not None:
+            label, members = forest
+            held = [x for vs in members.values() for x in vs]
+            assert len(held) == len(set(held)), "two blossoms share a vertex"
+            for b, vs in members.items():
+                assert vs[0] == b and len(vs) % 2 and all(label[x] == EVEN for x in vs)
+            for v, lab in enumerate(label):
+                assert lab != ODD or mate[v] >= 0 and label[mate[v]] == EVEN
+            seen["failing phases"] += 1
+        return forest
+
+    def blossom_step(v, w, base, parent, mate):
+        check_matching(mate)
+        assert all(base[b] == b for b in base), "a base has another base"
+        seen["blossom steps"] += 1
+        return blossom_base(v, w, base, parent, mate)
+
+    def flip(x, parent, mate):
+        walk = [x]
+        for _ in range(len(mate)):
+            odd = mate[walk[-1]]
+            if odd < 0:
+                break
+            even = parent[odd]
+            assert mate[odd] == walk[-1] and {(walk[-1], odd), (odd, even)} <= edges
+            walk += [odd, even]
+        assert mate[walk[-1]] < 0 and len(set(walk)) == len(walk), f"walk {walk}"
+        walks.append(walk)
+        if len(walks) == 2:
+            assert (walks[0][0], x) in edges and not set(walks[0]) & set(walk)
+            walks.clear()
+            seen["augmentations"] += 1
+        return flip_to_root(x, parent, mate)
+
+    monkeypatch.setattr(solver, "_renumber", renumbered)
+    monkeypatch.setattr(solver, "_augment_phase", phase)
+    monkeypatch.setattr(solver, "_blossom_base", blossom_step)
+    monkeypatch.setattr(solver, "_flip_to_root", flip)
+    return seen
+
+
+def test_engine_arrays_hold_their_invariants(engine_checks, bench_family_graphs):
+    # solve, and a full-path certify of the solve's matching and of one
+    # more: a random matching, or a planted one that nests blossoms in two
+    # trees, so that certify's one phase contracts them level by level and,
+    # with no pendant, fails with nested members
+    rng = random.Random(29)
+    graphs = list(itertools.islice(all_graphs(6), 0, None, 7))
+    for _ in range(500):
+        graphs.append(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6])))
+    cases = [(g, random_matching(rng, g)) for g in graphs + bench_family_graphs]
+    for i in range(80):
+        depth, stem = rng.randint(1, 6), rng.randint(0, 3)
+        g1, m1, _ = nested_blossoms(rng, depth, stem, i % 2 == 1, rng.randint(0, 3))
+        g2, m2, _ = absorbed_blossom(rng, depth, stem, i % 4 == 1)
+        top = max(vertices(g1))
+        cases.append((g1 | relabel(g2, lambda v: v + top), m1 | relabel(m2, lambda v: v + top)))
+    for g, other in cases:
+        m = find_maximum_matching(g)
+        assert certify_maximality(g, frozenset(list(m))) is not None
+        certify_maximality(g, other)
+    for seen in ("phases", "augmentations", "blossom steps", "failing phases"):
+        assert engine_checks[seen] > 1000, seen
 
 
 @pytest.mark.parametrize("call", ["hit", "other matching", "list graph", "not maximum", "raises"])
